@@ -20,6 +20,11 @@ namespace {
 /// execution, the rate behind the paper's §IV-B latency figures).
 constexpr double kInstructionsPerMs = 2e6;
 constexpr double kInstructionsPerUs = kInstructionsPerMs / 1000.0;
+
+/// Serialized size of a `BlockHeader`. Restore paths cap a reserve driven by
+/// an untrusted header count at `remaining() / kHeaderBytes`, so a hostile
+/// count cannot allocate more entries than the input can actually hold.
+constexpr std::size_t kHeaderBytes = 80;
 }  // namespace
 
 BitcoinCanister::EndpointCall::EndpointCall(BitcoinCanister& canister, std::string_view name,
@@ -730,7 +735,7 @@ BitcoinCanister BitcoinCanister::from_snapshot(const bitcoin::ChainParams& param
 
   canister.stable_headers_.clear();
   std::size_t n_archived = r.checked_len(r.varint());
-  canister.stable_headers_.reserve(n_archived);
+  canister.stable_headers_.reserve(std::min(n_archived, r.remaining() / kHeaderBytes));
   for (std::size_t i = 0; i < n_archived; ++i) {
     canister.stable_headers_.push_back(bitcoin::BlockHeader::deserialize(r));
   }
@@ -905,7 +910,7 @@ BitcoinCanister BitcoinCanister::from_checkpoint(const bitcoin::ChainParams& par
       util::ByteReader r = reader.section(kSecStableHeaders);
       std::size_t n = r.checked_len(r.varint());
       canister.stable_headers_.clear();
-      canister.stable_headers_.reserve(n);
+      canister.stable_headers_.reserve(std::min(n, r.remaining() / kHeaderBytes));
       for (std::size_t i = 0; i < n; ++i) {
         canister.stable_headers_.push_back(bitcoin::BlockHeader::deserialize(r));
       }

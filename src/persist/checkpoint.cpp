@@ -1,5 +1,6 @@
 #include "persist/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "persist/crc32.h"
@@ -77,9 +78,13 @@ CheckpointReader::CheckpointReader(util::ByteSpan file) {
   if (read_u32(file, 12) != 0) throw CheckpointError(Code::kBadSection, "nonzero flags");
 
   // Walk the section table with explicit bounds checks; nothing is trusted
-  // until the file CRC has been verified too.
+  // until the file CRC has been verified too. The count is untrusted, so the
+  // reservation is capped at the most sections the file has room for (each
+  // needs a full header, and the file CRC must still fit); a larger claim is
+  // rejected by the walk as truncation.
   std::size_t pos = kEnvelopeHeader;
-  sections_.reserve(count);
+  std::size_t max_sections = (file.size() - kEnvelopeHeader - 4) / kSectionHeader;
+  sections_.reserve(std::min<std::size_t>(count, max_sections));
   for (std::uint32_t i = 0; i < count; ++i) {
     if (file.size() - pos < kSectionHeader + 4) {  // +4: the file CRC must still fit
       throw CheckpointError(Code::kTruncated, "section header past end of file");

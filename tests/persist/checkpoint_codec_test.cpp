@@ -152,6 +152,18 @@ TEST(CheckpointCorruptionTest, TrailingBytes) {
       << to_string(code);
 }
 
+TEST(CheckpointCorruptionTest, OversizedSectionCountIsTyped) {
+  // The section count (bytes 8..11) is untrusted: a huge claim must neither
+  // allocate for it nor escape the typed errors. The walk consumes the three
+  // real sections, then stands at the 4-byte file CRC with too few bytes
+  // left for another section header.
+  for (std::uint32_t count : {0x80000003u, 0xFFFFFFFFu}) {
+    util::Bytes file = sample_envelope();
+    for (int i = 0; i < 4; ++i) file[8 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+    EXPECT_EQ(decode_code(file), CheckpointError::Code::kTruncated) << "count=" << count;
+  }
+}
+
 TEST(CheckpointCorruptionTest, EveryFlippedBitIsTyped) {
   // Exhaustive single-bit-flip sweep: no flip may parse cleanly (the file
   // CRC covers every byte) and none may escape the typed error hierarchy.
