@@ -43,6 +43,11 @@ struct VarintCase {
   std::string hex;
 };
 
+// Printed by gtest as the case's display name (and by CMake into the ctest
+// name); without it gtest dumps the struct's raw bytes, heap pointers included,
+// so the names would change from one run to the next.
+void PrintTo(const VarintCase& c, std::ostream* os) { *os << "encoding " << c.hex; }
+
 class VarintTest : public ::testing::TestWithParam<VarintCase> {};
 
 TEST_P(VarintTest, RoundTripsWithCanonicalEncoding) {
