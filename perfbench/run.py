@@ -8,11 +8,14 @@ Run from the repository root:
     python3 perfbench/run.py --self-test
 
 The first call configures and builds perfbench (CMake, Release) under
-$CARGO_TARGET_DIR/perfbench, or .bench_build/perfbench when that variable is
-unset; later calls only rebuild what changed. Build output goes to standard
+$CARGO_TARGET_DIR/perfbench-<checkout hash>, or under .bench_build/ when that
+variable is unset; later calls only rebuild what changed. The hash of the
+checkout's path keeps two checkouts that share one CARGO_TARGET_DIR from
+building (and running) each other's sources. Build output goes to standard
 error, so the last line of standard output is the benchmark's JSON result.
 Traced runs write their spans under .bench_out/.
 """
+import hashlib
 import os
 import shutil
 import subprocess
@@ -26,7 +29,8 @@ def build_dir():
     base = os.environ.get("CARGO_TARGET_DIR") or ".bench_build"
     if not os.path.isabs(base):
         base = os.path.join(ROOT, base)
-    return os.path.join(base, "perfbench")
+    tag = hashlib.sha256(os.path.realpath(ROOT).encode()).hexdigest()[:12]
+    return os.path.join(base, "perfbench-" + tag)
 
 
 def build():
@@ -49,11 +53,8 @@ def main():
     if binary is None:
         print("perfbench: build failed", file=sys.stderr)
         return 1
-    args = sys.argv[1:]
-    if "--trace-dir" not in args and "--self-test" not in args:
-        args += ["--trace-dir", os.path.join(ROOT, ".bench_out")]
     sys.stdout.flush()
-    return subprocess.run([binary] + args, cwd=ROOT).returncode
+    return subprocess.run([binary] + sys.argv[1:], cwd=ROOT).returncode
 
 
 if __name__ == "__main__":

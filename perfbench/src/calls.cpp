@@ -45,6 +45,51 @@ Outcome<std::vector<GetUtxosResponse>> CanisterCalls::get_utxos_all(const std::s
   return {Status::kOk, std::move(pages)};
 }
 
+RoundCarried timed_round(icbtc::canister::BitcoinCanister& canister,
+                         icbtc::adapter::BitcoinAdapter& adapter, std::int64_t now_unix,
+                         std::uint64_t& metered) {
+  RoundCarried carried;
+  ScopedSpan round("ic.round");
+  icbtc::adapter::AdapterRequest request;
+  {
+    icbtc::ic::InstructionMeter::Segment segment(canister.meter());
+    ScopedSpan span("canister.make_request");
+    request = canister.make_request();
+    metered += segment.sample();
+  }
+  icbtc::adapter::AdapterResponse response;
+  {
+    ScopedSpan span("adapter.handle_request");
+    response = adapter.handle_request(request);
+  }
+  carried.blocks = response.blocks.size();
+  for (const auto& [block, header] : response.blocks) {
+    carried.transactions += block.transactions.size();
+  }
+  {
+    icbtc::ic::InstructionMeter::Segment segment(canister.meter());
+    ScopedSpan span("canister.process_response");
+    canister.process_response(response, now_unix);
+    metered += segment.sample();
+  }
+  carried.seconds = round.stop();
+  return carried;
+}
+
+void LayerTallies::add(const RoundCarried& round) {
+  if (round.blocks == 0) return;
+  blocks += round.blocks;
+  ++responses;
+  transactions += round.transactions;
+}
+
+void LayerTallies::add_canister(const icbtc::canister::BitcoinCanister& canister) {
+  stable_blocks += canister.ingest_log().size();
+  for (const auto& stats : canister.ingest_log()) instructions += stats.instructions;
+  resident_bytes = static_cast<double>(canister.stable_utxos().resident_bytes());
+  utxos = static_cast<double>(canister.utxo_count());
+}
+
 int considered_height(int tip, int anchor, int min_confirmations) {
   if (min_confirmations <= 0) return tip;
   return std::max(anchor, tip - min_confirmations + 1);
@@ -72,13 +117,15 @@ double registry_value(const icbtc::obs::MetricsRegistry& registry, const std::st
   return 0;
 }
 
-void report_common_layers(RunResult& result, const icbtc::obs::MetricsRegistry& registry,
-                          std::size_t pool_threads, const Passes& passes) {
+void report_layers(RunResult& result, const icbtc::obs::MetricsRegistry& registry,
+                   std::size_t pool_threads, const Passes& passes, const CallStats& reads,
+                   const LayerTallies& tallies) {
   auto& m = result.per_layer;
   const SpanLog& log = spans();
   auto count = [&](const char* metric, const char* name, const char* unit) {
     m[metric] = {registry_value(registry, name), unit};
   };
+  auto ratio = [](double a, double b) { return b > 0 ? a / b : 0; };
   m["btcnet.run_s"] = {log.self_s("btcnet.run"), "s"};
   count("net.messages", "net.messages", "count");
   count("net.bytes", "net.bytes", "bytes");
@@ -86,6 +133,9 @@ void report_common_layers(RunResult& result, const icbtc::obs::MetricsRegistry& 
 
   m["adapter.handle_request_s"] = {log.total_s("adapter.handle_request"), "s"};
   count("adapter.requests", "adapter.requests_handled", "count");
+  m["adapter.blocks_per_response"] = {
+      ratio(static_cast<double>(tallies.blocks), static_cast<double>(tallies.responses)),
+      "blocks"};
   count("adapter.block_request_retries", "adapter.block_request_retries", "count");
 
   count("ic.rounds", "ic.rounds", "count");
@@ -95,12 +145,25 @@ void report_common_layers(RunResult& result, const icbtc::obs::MetricsRegistry& 
   m["canister.make_request_s"] = {log.total_s("canister.make_request"), "s"};
   m["canister.process_response_s"] = {log.total_s("canister.process_response"), "s"};
   count("canister.blocks_ingested", "canister.blocks_ingested", "count");
+  m["canister.txs_ingested"] = {static_cast<double>(tallies.transactions), "count"};
   count("canister.delta.builds", "canister.delta.builds", "count");
   m["canister.get_utxos_s"] = {log.total_s("canister.get_utxos"), "s"};
   m["canister.get_balance_s"] = {log.total_s("canister.get_balance"), "s"};
+  m["canister.pages_per_read"] = {
+      ratio(static_cast<double>(reads.get_utxos.size()), static_cast<double>(reads.page_walks)),
+      "pages"};
   double hits = registry_value(registry, "canister.delta.memo_hits");
   double misses = registry_value(registry, "canister.delta.memo_misses");
-  m["canister.delta.memo_hit_ratio"] = {hits + misses > 0 ? hits / (hits + misses) : 0, "ratio"};
+  m["canister.delta.memo_hit_ratio"] = {ratio(hits, hits + misses), "ratio"};
+  m["canister.instructions_per_block"] = {
+      ratio(static_cast<double>(tallies.instructions), static_cast<double>(tallies.stable_blocks)),
+      "instructions"};
+
+  m["persist.checkpoint_bytes"] = {static_cast<double>(tallies.checkpoint_bytes), "bytes"};
+  m["persist.write_checkpoint_s"] = {tallies.write_s.empty() ? 0 : median(tallies.write_s), "s"};
+  m["persist.from_checkpoint_s"] = {tallies.restore_s.empty() ? 0 : median(tallies.restore_s),
+                                    "s"};
+  m["utxo.resident_bytes_per_utxo"] = {ratio(tallies.resident_bytes, tallies.utxos), "bytes"};
 
   count("pool.tasks_executed", "pool.tasks_executed", "count");
   m["pool.threads"] = {static_cast<double>(pool_threads), "count"};

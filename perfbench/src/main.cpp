@@ -34,6 +34,7 @@ const std::pair<const char*, const char*> kPerLayer[] = {
     {"adapter.block_request_retries", "count"},
     {"ic.rounds", "count"},
     {"ic.signatures", "count"},
+    {"ic.sign_s", "s"},
     {"tecdsa.pool.exhaustion_stalls", "count"},
     {"canister.make_request_s", "s"},
     {"canister.process_response_s", "s"},

@@ -24,11 +24,17 @@ constexpr std::size_t kPopulation = 6144;
 constexpr std::size_t kOutputsPerFundingBlock = 2300;
 constexpr std::size_t kOutputsPerFundingTx = 23;
 constexpr int kRequestsPerRound = 16;
-constexpr double kZipfExponent = 1.0;
+/// The repository's load model's address skew (bench/load_sim.h, DESIGN.md
+/// §14: s = 0.99, the usual web/YCSB hot-set skew).
+constexpr double kZipfExponent = 0.99;
 /// Upper bound on the generated chain's time span (~1000 blocks at 600 s).
 constexpr std::uint64_t kChainSpan = 1200 * 600;
 
-/// min_confirmations mix: (depth, share).
+/// min_confirmations mix: (depth, share). An assumption, not a measured
+/// trace: 0 (the API default) most often, 1 and 6 (common wallet and
+/// exchange thresholds) next, and δ = 144 rarely. A read at 144 costs
+/// several times one at 0-6 (BitcoinCanister::considered_tip is O(c²) in
+/// the depth), so its 10 % share sets much of ops_per_s and the p99s.
 constexpr std::pair<int, double> kDepthMix[] = {{0, 0.4}, {1, 0.3}, {6, 0.2}, {144, 0.1}};
 
 /// The paper's measured UTXO-count skew (§IV-B): per 1000 addresses, 517
@@ -95,6 +101,8 @@ RunResult run_query(const Options& options) {
   const auto& params = bitcoin::ChainParams::mainnet();
   const canister::CanisterConfig config;
   const int delta = config.stability_delta;
+  // Declared before every object it is attached to, so it outlives them.
+  obs::MetricsRegistry registry;
 
   // ----------------------------- set-up ----------------------------------
   AddressBook book(params, kPopulation, options.seed);
@@ -174,7 +182,6 @@ RunResult run_query(const Options& options) {
   const double setup_s = now_s();
 
   // ----------------------------- rounds ----------------------------------
-  obs::MetricsRegistry registry;
   CallStats reads;
   CallStats traced_reads;
   CanisterCalls calls(*canister, reads);
@@ -218,12 +225,8 @@ RunResult run_query(const Options& options) {
   // entry and a restore inserts in outpoint order, so restoring addresses
   // with ~1000 UTXOs each is quadratic (over 90 s for this set). The sync
   // and wallet workloads time restores.
-  std::uint64_t instructions = 0;
-  for (const auto& stats : canister->ingest_log()) instructions += stats.instructions;
-  const double instructions_per_block =
-      static_cast<double>(instructions) / static_cast<double>(canister->ingest_log().size());
-  const double resident_per_utxo = static_cast<double>(canister->stable_utxos().resident_bytes()) /
-                                   static_cast<double>(canister->utxo_count());
+  LayerTallies tallies;
+  tallies.add_canister(*canister);
   util::Bytes checkpoint;
   double write_s = 0;
   {
@@ -232,6 +235,8 @@ RunResult run_query(const Options& options) {
     write_s = span.stop();
   }
   result.check(!checkpoint.empty(), "empty checkpoint");
+  tallies.checkpoint_bytes = checkpoint.size();
+  tallies.write_s.push_back(write_s);
 
   CallStats& measured = options.trace ? traced_reads : reads;
   result.attempted = measured.calls();
@@ -241,17 +246,7 @@ RunResult run_query(const Options& options) {
   e2e["ops_per_s"] = {static_cast<double>(reads.calls()) / reads.call_seconds(), "1/s"};
   e2e["checkpoint_write_s"] = {write_s, "s"};
   report_reads(result, reads, reads.any.percentile(50));
-
-  if (options.trace) {
-    report_common_layers(result, registry, threads, passes);
-    auto& m = result.per_layer;
-    m["canister.pages_per_read"] = {
-        static_cast<double>(traced_reads.get_utxos.size()) / traced_reads.page_walks, "pages"};
-    m["canister.instructions_per_block"] = {instructions_per_block, "instructions"};
-    m["persist.checkpoint_bytes"] = {static_cast<double>(checkpoint.size()), "bytes"};
-    m["persist.write_checkpoint_s"] = {write_s, "s"};
-    m["utxo.resident_bytes_per_utxo"] = {resident_per_utxo, "bytes"};
-  }
+  if (options.trace) report_layers(result, registry, threads, passes, traced_reads, tallies);
   return result;
 }
 

@@ -42,6 +42,9 @@ RunResult run_sync(const Options& options) {
   const auto& params = bitcoin::ChainParams::mainnet();
   const canister::CanisterConfig config;  // default: δ = 144, 8 shards, arena
   const int delta = config.stability_delta;
+  auto expect = [&](const std::string& error) { result.check(error.empty(), error); };
+  // Declared before every object it is attached to, so it outlives them.
+  obs::MetricsRegistry registry;
 
   // ----------------------------- set-up ----------------------------------
   AddressBook book(params, kAddresses, options.seed);
@@ -83,19 +86,14 @@ RunResult run_sync(const Options& options) {
   const double setup_s = now_s();
 
   // ----------------------------- rounds ----------------------------------
-  obs::MetricsRegistry registry;
   obs::MetricsRegistry* attached = nullptr;
   CallStats reads;
   Series round_times;
   std::vector<double> sync_rates;  // transactions per host second, per round
   std::uint64_t txs_synced = 0;
-  std::vector<double> write_times, restore_times;
+  std::vector<double> write_times;
   std::uint64_t round_index = 0;
-  // Traced-pass tallies.
-  std::uint64_t traced_blocks = 0, traced_responses = 0, traced_stable_blocks = 0;
-  std::uint64_t traced_txs = 0, traced_instructions = 0, checkpoint_bytes = 0;
-  double resident_per_utxo = 0;
-
+  LayerTallies tallies;  // traced pass
   auto round = [&](bool traced) {
     ++round_index;
     adapter::AdapterConfig adapter_config;
@@ -110,40 +108,21 @@ RunResult run_sync(const Options& options) {
     canister.set_metrics(attached);
     const std::uint64_t meter_base = canister.meter().count();
     std::uint64_t metered = 0;
-    std::uint64_t blocks_seen = 0, txs_seen = 0, responses_with_blocks = 0;
+    std::uint64_t blocks_seen = 0, txs_seen = 0;
 
     adapter.start();
     const double start = now_s();
     for (int iteration = 0;; ++iteration) {
       if (iteration > 100000) throw std::runtime_error("sync: canister never caught up");
-      {
-        ScopedSpan ic_round("ic.round");
-        adapter::AdapterRequest request;
-        {
-          ic::InstructionMeter::Segment segment(canister.meter());
-          ScopedSpan span("canister.make_request");
-          request = canister.make_request();
-          metered += segment.sample();
-        }
-        adapter::AdapterResponse response;
-        {
-          ScopedSpan span("adapter.handle_request");
-          response = adapter.handle_request(request);
-        }
-        blocks_seen += response.blocks.size();
-        if (!response.blocks.empty()) ++responses_with_blocks;
-        for (const auto& [block, header] : response.blocks) txs_seen += block.transactions.size();
-        {
-          ic::InstructionMeter::Segment segment(canister.meter());
-          ScopedSpan span("canister.process_response");
-          canister.process_response(response, static_cast<std::int64_t>(params.genesis_header.time) +
-                                                  sim.now() / util::kSecond);
-          metered += segment.sample();
-        }
-        // Rounds that carried blocks; the others are polls while blocks download.
-        double seconds = ic_round.stop();
-        if (!response.blocks.empty()) round_times.add_s(seconds);
-      }
+      const RoundCarried carried = timed_round(
+          canister, adapter,
+          static_cast<std::int64_t>(params.genesis_header.time) + sim.now() / util::kSecond,
+          metered);
+      blocks_seen += carried.blocks;
+      txs_seen += carried.transactions;
+      if (traced) tallies.add(carried);
+      // Rounds that carried blocks; the others are polls while blocks download.
+      if (carried.blocks > 0) round_times.add_s(carried.seconds);
       // Synced: the canister holds every block (anchor plus unstable ones).
       if (canister.tip_height() == tip &&
           canister.anchor_height() + static_cast<int>(canister.unstable_block_count()) == tip) {
@@ -153,7 +132,7 @@ RunResult run_sync(const Options& options) {
       sim.run_until(sim.now() + util::kSecond);  // one IC round of the Bitcoin network
     }
     sync_rates.push_back(static_cast<double>(txs_seen) / (now_s() - start));
-    txs_synced += txs_seen;
+    if (traced == options.trace) txs_synced += txs_seen;  // the reported pass
     adapter.stop();
 
     util::Bytes checkpoint;
@@ -161,14 +140,15 @@ RunResult run_sync(const Options& options) {
       ScopedSpan span("persist.write_checkpoint");
       checkpoint = canister.write_checkpoint();
       write_times.push_back(span.stop());
+      if (traced) tallies.write_s.push_back(write_times.back());
     }
     ScopedSpan restore_span("persist.from_checkpoint");
     canister::BitcoinCanister restored =
         canister::BitcoinCanister::from_checkpoint(params, config, checkpoint);
-    restore_times.push_back(restore_span.stop());
+    const double restore_s = restore_span.stop();
+    if (traced) tallies.restore_s.push_back(restore_s);
 
     // --------------------------- checks ---------------------------------
-    auto expect = [&](const std::string& error) { result.check(error.empty(), error); };
     expect(check_equal("anchor height",
                        static_cast<std::uint64_t>(canister.anchor_height()),
                        static_cast<std::uint64_t>(anchor_expected)));
@@ -208,14 +188,8 @@ RunResult run_sync(const Options& options) {
                        canister.meter().count() - meter_base));
 
     if (traced) {
-      traced_blocks += blocks_seen;
-      traced_responses += responses_with_blocks;
-      traced_stable_blocks += canister.ingest_log().size();
-      traced_txs += txs_seen;
-      for (const auto& stats : canister.ingest_log()) traced_instructions += stats.instructions;
-      checkpoint_bytes = checkpoint.size();
-      resident_per_utxo = registry_value(registry, "utxo.shard.resident_bytes") /
-                          static_cast<double>(canister.utxo_count());
+      tallies.add_canister(canister);
+      tallies.checkpoint_bytes = checkpoint.size();
     }
     adapter.set_metrics(nullptr);
     canister.set_metrics(nullptr);
@@ -238,28 +212,11 @@ RunResult run_sync(const Options& options) {
   report_reads(result, reads, round_times.percentile(50));
 
   if (options.trace) {
-    report_common_layers(result, registry, threads, passes);
-    auto& m = result.per_layer;
-    m["adapter.blocks_per_response"] = {
-        traced_responses > 0 ? static_cast<double>(traced_blocks) / traced_responses : 0, "blocks"};
-    m["canister.txs_ingested"] = {static_cast<double>(traced_txs), "count"};
-    m["canister.instructions_per_block"] = {
-        traced_stable_blocks > 0 ? static_cast<double>(traced_instructions) / traced_stable_blocks
-                                 : 0,
-        "instructions"};
-    m["canister.pages_per_read"] = {
-        reads.page_walks > 0 ? static_cast<double>(reads.get_utxos.size()) / reads.page_walks : 0,
-        "pages"};
-    m["persist.checkpoint_bytes"] = {static_cast<double>(checkpoint_bytes), "bytes"};
-    m["persist.write_checkpoint_s"] = {median(write_times), "s"};
-    m["persist.from_checkpoint_s"] = {median(restore_times), "s"};
-    m["utxo.resident_bytes_per_utxo"] = {resident_per_utxo, "bytes"};
-    result.check(
-        check_equal("canister.blocks_ingested counter vs stable blocks ingested",
-                    static_cast<std::uint64_t>(registry_value(registry, "canister.blocks_ingested")),
-                    traced_stable_blocks)
-            .empty(),
-        "canister.blocks_ingested counter disagrees with the ingest log");
+    report_layers(result, registry, threads, passes, reads, tallies);
+    expect(check_equal("canister.blocks_ingested counter vs stable blocks ingested",
+                       static_cast<std::uint64_t>(
+                           registry_value(registry, "canister.blocks_ingested")),
+                       tallies.stable_blocks));
   }
   return result;
 }

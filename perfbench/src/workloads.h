@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "adapter/adapter.h"
 #include "canister/bitcoin_canister.h"
 #include "common.h"
 #include "ledger.h"
@@ -89,6 +90,38 @@ class CanisterCalls {
   std::uint64_t metered_ = 0;
 };
 
+/// What one Algorithm 1/2 round carried, and its host time.
+struct RoundCarried {
+  std::size_t blocks = 0;
+  std::uint64_t transactions = 0;
+  double seconds = 0;
+};
+
+/// One Algorithm 1/2 round as BitcoinIntegration::on_round runs it for an
+/// honest block maker: make_request -> `adapter.handle_request` ->
+/// process_response at `now_unix`. The round and each call are spans; the
+/// two canister calls are meter segments added to `metered`.
+RoundCarried timed_round(icbtc::canister::BitcoinCanister& canister,
+                         icbtc::adapter::BitcoinAdapter& adapter, std::int64_t now_unix,
+                         std::uint64_t& metered);
+
+/// Per-layer tallies every workload reports the same way (traced pass).
+struct LayerTallies {
+  std::uint64_t blocks = 0;        // blocks in adapter responses that carried any
+  std::uint64_t responses = 0;     // adapter responses that carried blocks
+  std::uint64_t transactions = 0;  // transactions in those responses
+  std::uint64_t stable_blocks = 0;
+  std::uint64_t instructions = 0;  // modelled, over `stable_blocks` ingest-log entries
+  std::uint64_t checkpoint_bytes = 0;
+  std::vector<double> write_s, restore_s;
+  double resident_bytes = 0;  // UtxoIndex::resident_bytes() of the last canister seen
+  double utxos = 0;
+
+  void add(const RoundCarried& round);
+  /// The canister's ingest log and stable UTXO set.
+  void add_canister(const icbtc::canister::BitcoinCanister& canister);
+};
+
 /// Expected considered height of a query with `min_confirmations` on a
 /// single linear chain with constant difficulty (what every workload
 /// generates): the tip for 0, else the highest block with that many
@@ -99,10 +132,11 @@ int considered_height(int tip, int anchor, int min_confirmations);
 /// the workload's main-operation p50 (`op_p50_us`).
 void report_reads(RunResult& result, CallStats& stats, double op_p50_us);
 
-/// Fills per-layer metrics common to every workload from the span log and
-/// the program's metrics registry (traced runs).
-void report_common_layers(RunResult& result, const icbtc::obs::MetricsRegistry& registry,
-                          std::size_t pool_threads, const Passes& passes);
+/// Fills the per-layer metrics from the span log, the program's metrics
+/// registry, the traced pass's reads and the tallies (traced runs).
+void report_layers(RunResult& result, const icbtc::obs::MetricsRegistry& registry,
+                   std::size_t pool_threads, const Passes& passes, const CallStats& reads,
+                   const LayerTallies& tallies);
 
 /// Writes the span log to `<trace_dir>/<workload>-seed<seed>.json`.
 void write_trace(const Options& options);
