@@ -14,23 +14,21 @@
 //   cached      txid cache on,  portable SHA-256, no thread pool
 //   dispatched  txid cache on,  best SHA-256 (SHA-NI/SSE4), no thread pool
 //   parallel    txid cache on,  best SHA-256, shared thread pool
-// It writes BENCH_ingestion.json (override with ICBTC_BENCH_OUT) with ns/tx
-// and blocks/s per mode, and exits nonzero if any mode's UTXO-set digest or
-// metrics snapshot diverges from the scalar result. ICBTC_BENCH_QUICK=1
-// shrinks the workload and skips Figure 6 / the google-benchmark loops for
+// It writes BENCH_ingestion.json (override with ICBTC_BENCH_OUT) with ns/tx,
+// blocks/s and the meter total per mode, and exits nonzero if any mode's
+// meter total, UTXO-set digest or metrics snapshot diverges from the scalar
+// result. ICBTC_BENCH_QUICK=1 shrinks the workload and skips Figure 6 / the google-benchmark loops for
 // CI smoke runs. A short traced replay additionally writes
 // BENCH_ingestion_chrome.json (ICBTC_CHROME_TRACE_OUT) — per-block
 // Algorithm 2 ingestion spans viewable in chrome://tracing.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "canister/utxo_index.h"
@@ -119,13 +117,14 @@ struct ModeResult {
   double seconds = 0;
   double ns_per_tx = 0;
   double blocks_per_s = 0;
+  std::uint64_t instructions = 0;  // canister meter total after the replay
   std::string utxo_digest;
   std::string metrics_json;
 };
 
 /// Replays the serialized block stream through a freshly configured
 /// canister, returning the best-of-`reps` wall-clock result plus the final
-/// UTXO-set digest and metrics snapshot.
+/// meter total, UTXO-set digest and metrics snapshot.
 ModeResult replay(const ModeConfig& mode, const std::vector<util::Bytes>& stream,
                   std::size_t total_txs, int reps) {
   ModeResult result;
@@ -161,6 +160,7 @@ ModeResult replay(const ModeConfig& mode, const std::vector<util::Bytes>& stream
     double seconds = std::chrono::duration<double>(stop - start).count();
     if (rep == 0 || seconds < best) best = seconds;
     if (rep == reps - 1) {
+      result.instructions = canister.meter().count();
       result.utxo_digest = canister.utxo_digest().hex();
       result.metrics_json = obs::to_json(registry);
     }
@@ -179,8 +179,7 @@ ModeResult replay(const ModeConfig& mode, const std::vector<util::Bytes>& stream
 /// Replays a prefix of the block stream under a tracer whose clock follows
 /// the instruction meter (2000 instructions/µs) and writes a Chrome trace of
 /// the ingestion spans — the per-block Algorithm 2 view of Fig. 6. Runs with
-/// the shared pool installed so the traced parallel txid precompute shows up
-/// (and stays byte-identical to a serial replay).
+/// the shared pool installed, as the `parallel` mode does.
 bool write_ingestion_trace(const std::vector<util::Bytes>& stream) {
   const std::size_t n_blocks = std::min<std::size_t>(stream.size(), 40);
 
@@ -217,134 +216,6 @@ bool write_ingestion_trace(const std::vector<util::Bytes>& stream) {
   std::fclose(out);
   std::printf("wrote %s (chrome trace, %zu blocks)\n", path, n_blocks);
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Sharded stable-UTXO ingestion
-// ---------------------------------------------------------------------------
-
-struct ShardedResult {
-  std::size_t shards = 0;
-  double seconds = 0;
-  double blocks_per_s = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t critical_path = 0;
-  std::uint64_t reads_mid_ingestion = 0;
-  std::string utxo_digest;
-};
-
-/// Replays the parsed block stream straight into a sharded UtxoIndex (the
-/// stable-store slice of Algorithm 2) with a 4-thread pool, while a reader
-/// thread issues epoch-snapshot queries against live scripts. Reports wall
-/// clock plus the modelled shard-parallel latency: on a single-subnet replica
-/// the per-shard mutation charges run concurrently, so the modelled cost per
-/// block is the serial prologue + max per-shard charge, and the modelled
-/// speedup is total instructions / total critical path. Wall clock on small
-/// CI hosts shows little change (one core); the instruction model is the
-/// figure of merit, consistent with the 2000 instructions/us clock used by
-/// the trace exporter.
-bool run_sharded_section(std::FILE* out, const std::vector<util::Bytes>& stream) {
-  std::vector<bitcoin::Block> blocks;
-  blocks.reserve(stream.size());
-  for (const auto& raw : stream) blocks.push_back(bitcoin::Block::parse(raw));
-  // A handful of live scripts for the mid-ingestion reader.
-  std::vector<util::Bytes> probe_scripts;
-  for (const auto& tx : blocks.front().transactions) {
-    for (const auto& txo : tx.outputs) {
-      if (probe_scripts.size() < 8) probe_scripts.push_back(txo.script_pubkey);
-    }
-  }
-
-  std::printf("\n--- sharded stable-UTXO ingestion (epoch snapshot reads) ---\n");
-  std::vector<ShardedResult> results;
-  for (std::size_t shards : {1u, 4u, 8u}) {
-    canister::UtxoIndex index(canister::InstructionCosts{},
-                              canister::UtxoIndex::ShardConfig{shards, true});
-    parallel::ThreadPool pool(4);
-    ic::InstructionMeter meter;
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> reads{0};
-    std::thread reader([&] {
-      ic::InstructionMeter reader_meter;
-      std::size_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        benchmark::DoNotOptimize(
-            index.utxos_for_script(probe_scripts[i++ % probe_scripts.size()], reader_meter));
-        reads.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::yield();
-      }
-    });
-
-    ShardedResult r;
-    r.shards = shards;
-    auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      auto stats = index.apply_block(blocks[i], static_cast<int>(i + 1), meter, &pool);
-      r.critical_path += stats.critical_path_instructions;
-    }
-    auto end = std::chrono::steady_clock::now();
-    stop.store(true);
-    reader.join();
-
-    r.seconds = std::chrono::duration<double>(end - start).count();
-    r.blocks_per_s = static_cast<double>(blocks.size()) / r.seconds;
-    r.instructions = meter.count();
-    r.reads_mid_ingestion = reads.load();
-    r.utxo_digest = index.digest().hex();
-    std::printf(
-        "%zu shard(s): %8.3f s  %8.1f blocks/s  modelled speedup %.2fx  "
-        "%llu reads mid-ingestion\n",
-        shards, r.seconds, r.blocks_per_s,
-        static_cast<double>(r.instructions) / static_cast<double>(r.critical_path),
-        static_cast<unsigned long long>(r.reads_mid_ingestion));
-    results.push_back(std::move(r));
-  }
-
-  // Gates: bit-identical state and metering at every shard count, and the
-  // modelled shard-parallel latency must win >=2x at 4+ shards.
-  bool ok = true;
-  for (const auto& r : results) {
-    if (r.utxo_digest != results[0].utxo_digest) {
-      std::fprintf(stderr, "FAIL: %zu-shard UTXO digest %s != serial %s\n", r.shards,
-                   r.utxo_digest.c_str(), results[0].utxo_digest.c_str());
-      ok = false;
-    }
-    if (r.instructions != results[0].instructions) {
-      std::fprintf(stderr, "FAIL: %zu-shard metered %llu instructions != serial %llu\n",
-                   r.shards, static_cast<unsigned long long>(r.instructions),
-                   static_cast<unsigned long long>(results[0].instructions));
-      ok = false;
-    }
-    double modelled =
-        static_cast<double>(r.instructions) / static_cast<double>(r.critical_path);
-    if (r.shards >= 4 && modelled < 2.0) {
-      std::fprintf(stderr, "FAIL: %zu-shard modelled speedup %.2fx < 2x\n", r.shards,
-                   modelled);
-      ok = false;
-    }
-  }
-
-  std::fprintf(out, "  \"sharded\": {\n");
-  std::fprintf(out, "    \"pool_threads\": 4, \"snapshot_reads\": true,\n");
-  std::fprintf(out, "    \"modes\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(out,
-                 "      {\"shards\": %zu, \"seconds\": %.6f, \"blocks_per_s\": %.2f, "
-                 "\"instructions\": %llu, \"critical_path_instructions\": %llu, "
-                 "\"modelled_speedup\": %.3f, \"reads_mid_ingestion\": %llu, "
-                 "\"utxo_digest\": \"%s\"}%s\n",
-                 r.shards, r.seconds, r.blocks_per_s,
-                 static_cast<unsigned long long>(r.instructions),
-                 static_cast<unsigned long long>(r.critical_path),
-                 static_cast<double>(r.instructions) / static_cast<double>(r.critical_path),
-                 static_cast<unsigned long long>(r.reads_mid_ingestion),
-                 r.utxo_digest.c_str(), i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "    ],\n");
-  std::fprintf(out, "    \"digests_match\": %s\n", ok ? "true" : "false");
-  std::fprintf(out, "  },\n");
-  return ok;
 }
 
 bool run_hashing_pipeline_bench() {
@@ -386,10 +257,16 @@ bool run_hashing_pipeline_bench() {
                 r.ns_per_tx, r.blocks_per_s);
   }
 
-  // Correctness gate: every mode must land on the scalar UTXO set and the
-  // scalar metrics snapshot, byte for byte.
+  // Correctness gate: every mode must land on the scalar meter total, UTXO
+  // set and metrics snapshot, byte for byte.
   bool ok = true;
   for (const auto& r : results) {
+    if (r.instructions != results[0].instructions) {
+      std::fprintf(stderr, "FAIL: %s metered %llu instructions != baseline %llu\n",
+                   r.name.c_str(), static_cast<unsigned long long>(r.instructions),
+                   static_cast<unsigned long long>(results[0].instructions));
+      ok = false;
+    }
     if (r.utxo_digest != results[0].utxo_digest) {
       std::fprintf(stderr, "FAIL: %s UTXO digest %s != baseline %s\n", r.name.c_str(),
                    r.utxo_digest.c_str(), results[0].utxo_digest.c_str());
@@ -424,8 +301,10 @@ bool run_hashing_pipeline_bench() {
     const auto& r = results[i];
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"seconds\": %.6f, \"ns_per_tx\": %.1f, "
-                 "\"blocks_per_s\": %.2f, \"utxo_digest\": \"%s\", \"metrics_digest\": \"%s\"}%s\n",
-                 r.name.c_str(), r.seconds, r.ns_per_tx, r.blocks_per_s, r.utxo_digest.c_str(),
+                 "\"blocks_per_s\": %.2f, \"instructions\": %llu, \"utxo_digest\": \"%s\", "
+                 "\"metrics_digest\": \"%s\"}%s\n",
+                 r.name.c_str(), r.seconds, r.ns_per_tx, r.blocks_per_s,
+                 static_cast<unsigned long long>(r.instructions), r.utxo_digest.c_str(),
                  crypto::sha256d(util::ByteSpan(
                                      reinterpret_cast<const std::uint8_t*>(r.metrics_json.data()),
                                      r.metrics_json.size()))
@@ -437,7 +316,6 @@ bool run_hashing_pipeline_bench() {
   std::fprintf(out, "  \"speedup_vs_baseline\": {\"cached\": %.3f, \"dispatched\": %.3f, "
                "\"parallel\": %.3f},\n",
                speedup_cached, speedup_dispatched, speedup_parallel);
-  ok &= run_sharded_section(out, stream);
   std::fprintf(out, "  \"digests_match\": %s\n", ok ? "true" : "false");
   std::fprintf(out, "}\n");
   std::fclose(out);

@@ -7,8 +7,8 @@
 // set in >= 2x the arena's resident bytes — the subsystem's headline claim.
 //
 // Section 2 grows a real canister to the target UTXO count, times
-// write_checkpoint / from_checkpoint, restores at a different shard count
-// and backend (digest + meter equality gated), and writes the checkpoint to
+// write_checkpoint / from_checkpoint, restores on the other backend (digest
+// + meter equality gated), and writes the checkpoint to
 // two files whose byte identity is gated here and `cmp`-ed again by CI.
 //
 // Writes BENCH_checkpoint.json (override with ICBTC_BENCH_OUT) plus
@@ -52,9 +52,7 @@ struct LoadResult {
 /// distinct addresses as UTXOs — realistic reuse) through the bulk-restore
 /// path and reports the backend's exact byte accounting.
 LoadResult load_synthetic(persist::UtxoBackend backend, std::size_t n) {
-  canister::UtxoIndex index(
-      canister::InstructionCosts{},
-      canister::UtxoIndex::ShardConfig{8, /*snapshot_reads=*/true, backend});
+  canister::UtxoIndex index(canister::InstructionCosts{}, backend);
 
   // Pre-generate the workload so the timer sees only the index.
   std::size_t n_scripts = n / 4;
@@ -112,7 +110,6 @@ int run() {
   std::printf("--- canister checkpoint/restore ---\n");
   const auto& params = bitcoin::ChainParams::regtest();
   canister::CanisterConfig config = canister::CanisterConfig::for_params(params);
-  config.utxo_shards = 8;
   canister::BitcoinCanister canister(params, config);
   ChainFeeder feeder(canister, /*seed=*/20250807);
   BlockShape shape;
@@ -131,12 +128,11 @@ int run() {
   double write_s = seconds_since(write_start);
 
   canister::CanisterConfig restore_config = config;
-  restore_config.utxo_shards = 3;
   restore_config.utxo_backend = persist::UtxoBackend::kMap;
   auto restore_start = std::chrono::steady_clock::now();
   auto restored = canister::BitcoinCanister::from_checkpoint(params, restore_config, checkpoint);
   double restore_s = seconds_since(restore_start);
-  std::printf("checkpoint %.1f MiB  write %.3f s  restore(3 shards, map) %.3f s\n",
+  std::printf("checkpoint %.1f MiB  write %.3f s  restore(map) %.3f s\n",
               static_cast<double>(checkpoint.size()) / (1024.0 * 1024.0), write_s, restore_s);
 
   if (restored.utxo_digest() != canister.utxo_digest()) {
@@ -183,7 +179,7 @@ int run() {
   std::fprintf(out,
                "  \"checkpoint\": {\"canister_utxos\": %zu, \"bytes\": %zu, "
                "\"write_seconds\": %.6f, \"restore_seconds\": %.6f, "
-               "\"restore_shards\": 3, \"restore_backend\": \"map\", "
+               "\"restore_backend\": \"map\", "
                "\"digest_match\": %s, \"meter_match\": %s},\n",
                canister.utxo_count(), checkpoint.size(), write_s, restore_s,
                restored.utxo_digest() == canister.utxo_digest() ? "true" : "false",

@@ -125,8 +125,8 @@ int main() {
 
   // --- Scenario 4: checkpoint/restore after downtime --------------------
   // The operator checkpoints the canister, the canister goes down, and the
-  // state is restored into a differently-sharded deployment (3 shards, the
-  // node-map backend instead of the flat arena). A byzantine maker then
+  // state is restored into a deployment on the other backend (the node-map
+  // backend instead of the flat arena). A byzantine maker then
   // replays a fork injection against the restored canister and against a
   // never-stopped twin: every observable — UTXO digest, queries, the
   // instruction meter — must stay identical, or the restore changed
@@ -138,11 +138,10 @@ int main() {
               live.tip_height(), live.utxo_count());
 
   auto restore_config = config.canister;
-  restore_config.utxo_shards = 3;
   restore_config.utxo_backend = persist::UtxoBackend::kMap;
   auto restored = canister::BitcoinCanister::restore(params, restore_config, "attack_lab.ckpt");
   auto twin = canister::BitcoinCanister::restore(params, config.canister, "attack_lab.ckpt");
-  std::printf("restored at 3 shards + map backend; twin kept the writer's config\n");
+  std::printf("restored on the map backend; twin kept the writer's config\n");
   std::printf("digest after restore: %s (writer: %s)\n",
               restored.utxo_digest() == live.utxo_digest() ? "MATCHES writer" : "DIFFERS",
               live.utxo_digest().hex().substr(0, 16).c_str());

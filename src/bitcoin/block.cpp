@@ -1,5 +1,6 @@
 #include "bitcoin/block.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/sha256.h"
@@ -51,7 +52,7 @@ Block Block::deserialize(util::ByteReader& r) {
   Block b;
   b.header = BlockHeader::deserialize(r);
   std::size_t n = r.checked_len(r.varint());
-  b.transactions.reserve(n);
+  b.transactions.reserve(std::min(n, r.remaining() / kMinTransactionBytes));
   for (std::size_t i = 0; i < n; ++i) b.transactions.push_back(Transaction::deserialize(r));
   return b;
 }

@@ -1,5 +1,6 @@
 #include "bitcoin/transaction.h"
 
+#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -70,10 +71,10 @@ Transaction Transaction::deserialize(util::ByteReader& r) {
   Transaction tx;
   tx.version = r.i32le();
   std::size_t n_in = r.checked_len(r.varint());
-  tx.inputs.reserve(n_in);
+  tx.inputs.reserve(std::min(n_in, r.remaining() / kMinTxInBytes));
   for (std::size_t i = 0; i < n_in; ++i) tx.inputs.push_back(TxIn::deserialize(r));
   std::size_t n_out = r.checked_len(r.varint());
-  tx.outputs.reserve(n_out);
+  tx.outputs.reserve(std::min(n_out, r.remaining() / kMinTxOutBytes));
   for (std::size_t i = 0; i < n_out; ++i) tx.outputs.push_back(TxOut::deserialize(r));
   tx.lock_time = r.u32le();
   if (g_txid_cache_enabled.load(std::memory_order_relaxed)) {

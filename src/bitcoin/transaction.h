@@ -15,6 +15,13 @@ using util::Bytes;
 using util::ByteSpan;
 using util::Hash256;
 
+/// Smallest wire encodings. Decoders cap a reserve driven by an untrusted
+/// count at `remaining() / kMin*Bytes`, the most elements the rest of the
+/// input can hold, so a hostile count cannot reserve more than that.
+inline constexpr std::size_t kMinTxInBytes = 41;         // outpoint 36, empty script 1, sequence 4
+inline constexpr std::size_t kMinTxOutBytes = 9;         // value 8, empty script 1
+inline constexpr std::size_t kMinTransactionBytes = 10;  // version 4, two empty counts, lock_time 4
+
 /// Reference to a transaction output: (txid, output index).
 struct OutPoint {
   Hash256 txid;

@@ -136,9 +136,7 @@ const char* to_string(Status s) {
 BitcoinCanister::BitcoinCanister(const bitcoin::ChainParams& params, CanisterConfig config)
     : params_(&params),
       config_(config),
-      stable_utxos_(config.costs,
-                    UtxoIndex::ShardConfig{config.utxo_shards, config.utxo_snapshot_reads,
-                                           config.utxo_backend}),
+      stable_utxos_(config.costs, config.utxo_backend),
       tree_(params, params.genesis_header) {
   // The genesis block's outputs are part of the stable set by definition
   // (the anchor starts at genesis).
@@ -166,26 +164,10 @@ BitcoinCanister::ProcessResult BitcoinCanister::process_response(
   EndpointCall call(*this, "process_response", metrics_.process_response);
   meter_.charge(config_.costs.request_overhead);
   ProcessResult result;
-  // One owning pool reference for the whole response: fan-outs below stay
-  // valid even if another thread replaces the shared pool mid-call.
+  // One owning pool reference for the whole response: the delta builds'
+  // txid fan-outs stay valid even if another thread replaces the shared
+  // pool mid-call.
   std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
-
-  // Traced txid precompute: with a tracer attached the memoized caches of the
-  // incoming blocks are warmed up front — in parallel when the shared pool is
-  // installed — so each block's hash work shows up as one task span. Txid
-  // memoization makes this behaviour-neutral: the validation below computes
-  // the same hashes either way. The TraceTaskGroup pre-allocates span ids on
-  // this thread and joins in index order, keeping exports pool-invariant.
-  if (tracer_ != nullptr && !response.blocks.empty()) {
-    obs::TraceTaskGroup group(tracer_, "canister.precompute_txids", "parallel",
-                              response.blocks.size());
-    parallel::parallel_for(pool.get(), response.blocks.size(), [&](std::size_t i) {
-      const Block& block = response.blocks[i].first;
-      for (const auto& tx : block.transactions) (void)tx.txid();
-      group.record(i, {{"txs", static_cast<std::uint64_t>(block.transactions.size())}});
-    });
-    group.join();
-  }
 
   // Lines 1-15: validate and store each block, then try to advance the
   // anchor (possibly repeatedly: one arrival can make several blocks
@@ -250,33 +232,25 @@ std::size_t BitcoinCanister::advance_anchor() {
     if (!found) break;
     if (!tree_.is_difficulty_stable(best, config_.stability_delta, anchor_work)) break;
 
-    // process_block(U, b_next): migrate the block into the stable UTXO set,
-    // shard-parallel when the shared pool is installed. The owning pool
-    // reference is held across the fan-out so a concurrent set_shared_pool()
-    // cannot tear the pool down mid-application (see thread_pool.h).
+    // process_block(U, b_next): migrate the block into the stable UTXO set.
     auto block_it = unstable_blocks_.find(best);
     const Block& block = block_it->second;
     IngestStats stats;
     stats.height = next_height;
     obs::ScopedSpan ingest_span(tracer_, "canister.ingest_block", "canister");
-    std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
-    BlockApplyStats applied = stable_utxos_.apply_block(block, next_height, meter_, pool.get());
+    BlockApplyStats applied = stable_utxos_.apply_block(block, next_height, meter_);
     stats.transactions = applied.transactions;
     stats.inputs_removed = applied.inputs_removed;
     stats.outputs_inserted = applied.outputs_inserted;
     stats.instructions = applied.instructions;
     stats.insert_instructions = applied.insert_instructions;
     stats.remove_instructions = applied.remove_instructions;
-    stats.critical_path_instructions = applied.critical_path_instructions;
-    stats.shards_touched = applied.shards_touched;
     if (ingest_span.active()) {
       ingest_span.attr("height", static_cast<std::int64_t>(stats.height));
       ingest_span.attr("txs", static_cast<std::uint64_t>(stats.transactions));
       ingest_span.attr("inputs_removed", static_cast<std::uint64_t>(stats.inputs_removed));
       ingest_span.attr("outputs_inserted", static_cast<std::uint64_t>(stats.outputs_inserted));
       ingest_span.attr("instructions", stats.instructions);
-      ingest_span.attr("shards_touched", static_cast<std::uint64_t>(stats.shards_touched));
-      ingest_span.attr("critical_path_instructions", stats.critical_path_instructions);
       ingest_span.end_at(ingest_span.start() +
                          static_cast<obs::TraceTime>(static_cast<double>(stats.instructions) /
                                                      kInstructionsPerUs));
@@ -335,7 +309,15 @@ std::pair<Hash256, int> BitcoinCanister::considered_tip(int min_confirmations) c
   if (min_confirmations <= 0) {
     return {chain.back(), tree_.find(chain.back())->height};
   }
-  for (std::size_t i = chain.size(); i-- > 0;) {
+  // A block at height h has depth_count <= max_height - h + 1, and its
+  // confirmation stability is at most its depth_count, so blocks above
+  // max_height - c + 1 cannot be c-stable: start the scan below them
+  // (chain[i] is at height root + i). Each is_confirmation_stable walks the
+  // block's subtree, so scanning from the tip would cost O(c^2).
+  const int root_height = tree_.root().height;
+  const int highest = tree_.max_height() - min_confirmations + 1 - root_height;
+  if (highest < 0) return {tree_.root_hash(), root_height};
+  for (std::size_t i = std::min(chain.size(), static_cast<std::size_t>(highest) + 1); i-- > 0;) {
     // At most one block per height can be c-stable, and on the current chain
     // stability is monotone towards the root, so the first hit is the tip.
     if (tree_.is_confirmation_stable(chain[i], min_confirmations)) {
@@ -699,10 +681,7 @@ BitcoinCanister BitcoinCanister::from_snapshot(const bitcoin::ChainParams& param
   int root_height = r.i32le();
   crypto::U256 prev_work = crypto::U256::from_be_bytes(r.bytes(32));
   bitcoin::BlockHeader root = bitcoin::BlockHeader::deserialize(r);
-  canister.stable_utxos_ =
-      UtxoIndex(config.costs,
-                UtxoIndex::ShardConfig{config.utxo_shards, config.utxo_snapshot_reads,
-                                       config.utxo_backend});  // drop the genesis seed
+  canister.stable_utxos_ = UtxoIndex(config.costs, config.utxo_backend);  // drop the genesis seed
   canister.tree_ = chain::HeaderTree(params, root, root_height, prev_work);
 
   // The stored headers were fully validated before the snapshot was taken;
@@ -806,9 +785,9 @@ util::Bytes BitcoinCanister::write_checkpoint() const {
     for (const auto& header : stable_headers_) header.serialize(w);
   }
   {
-    // Globally sorted by outpoint: the section bytes are invariant under the
-    // writer's shard count, backend, and snapshot mode. Script bytes are
-    // copied out because shard pins only live for the duration of visit().
+    // Sorted by outpoint: the section bytes are invariant under the writer's
+    // backend and mutation history. Script bytes are copied out because the
+    // visited spans only live for the duration of each callback.
     util::ByteWriter& w = cw.begin_section(kSecUtxos);
     struct Row {
       bitcoin::OutPoint outpoint;
@@ -863,10 +842,7 @@ BitcoinCanister BitcoinCanister::from_checkpoint(const bitcoin::ChainParams& par
       crypto::U256 prev_work = crypto::U256::from_be_bytes(r.bytes(32));
       bitcoin::BlockHeader root = bitcoin::BlockHeader::deserialize(r);
       if (!r.done()) throw util::DecodeError("meta trailing bytes");
-      canister.stable_utxos_ =
-          UtxoIndex(config.costs, UtxoIndex::ShardConfig{config.utxo_shards,
-                                                         config.utxo_snapshot_reads,
-                                                         config.utxo_backend});
+      canister.stable_utxos_ = UtxoIndex(config.costs, config.utxo_backend);
       canister.tree_ = chain::HeaderTree(params, root, root_height, prev_work);
     }
 

@@ -49,15 +49,7 @@ struct CanisterConfig {
   /// Unstable read path; kScan is kept as the differential-test oracle and
   /// the bench baseline.
   UnstableQueryMode unstable_query_mode = UnstableQueryMode::kIndexed;
-  /// Stable UTXO set shards (>= 1); block ingestion applies them in parallel
-  /// when the shared thread pool is installed. Responses, metering, and
-  /// digests are bit-identical for every shard count (1 reproduces the
-  /// unsharded layout exactly).
-  std::size_t utxo_shards = 8;
-  /// Epoch snapshot reads: queries serve the last published shard snapshots
-  /// while ingestion builds the next epoch (see UtxoIndex::ShardConfig).
-  bool utxo_snapshot_reads = true;
-  /// Stable shard backing store (see persist::UtxoBackend). Responses,
+  /// Stable UTXO store backend (see persist::UtxoBackend). Responses,
   /// metering, digests, and checkpoints are backend-invariant; only host
   /// memory and wall-clock differ.
   persist::UtxoBackend utxo_backend = persist::UtxoBackend::kArena;
@@ -123,10 +115,6 @@ struct IngestStats {
   std::uint64_t instructions = 0;
   std::uint64_t insert_instructions = 0;
   std::uint64_t remove_instructions = 0;
-  /// Modelled shard-parallel latency: serial prologue + max per-shard
-  /// mutation charge (== instructions at 1 shard). See BlockApplyStats.
-  std::uint64_t critical_path_instructions = 0;
-  std::size_t shards_touched = 0;
 };
 
 class BitcoinCanister {
@@ -193,12 +181,12 @@ class BitcoinCanister {
   /// persist/checkpoint.h and DESIGN.md §12). Every section is canonical —
   /// the UTXO set globally sorted by outpoint, header/block sets sorted by
   /// hash — so the byte stream is a pure function of logical state:
-  /// invariant under the writer's shard count, backend, snapshot mode, and
-  /// ingestion interleaving. A checkpoint written at 16 shards restores at 4.
+  /// invariant under the writer's backend and ingestion interleaving. A
+  /// checkpoint written on the arena restores on the map backend.
   util::Bytes write_checkpoint() const;
 
   /// Rebuilds a canister from a write_checkpoint() stream under a possibly
-  /// different CanisterConfig (shard count / backend / query mode). The
+  /// different CanisterConfig (backend / query mode). The
   /// restored canister's UTXO digest, query responses, and meter total are
   /// identical to the writer's. Throws persist::CheckpointError — never a
   /// partially restored canister — on any corruption.
@@ -240,9 +228,7 @@ class BitcoinCanister {
   /// "canister.<endpoint>" span ending at its modelled execution latency
   /// (metered instructions at 2e9/s), block ingestion yields per-block
   /// "canister.ingest_block" child spans, and anchor advancement emits an
-  /// "anchor_advanced" flight-recorder event. With the shared thread pool
-  /// installed, process_response precomputes txids in parallel under a
-  /// TraceTaskGroup, keeping exports identical to serial runs.
+  /// "anchor_advanced" flight-recorder event.
   void set_tracer(obs::Tracer* tracer) {
     tracer_ = tracer;
     stable_utxos_.set_tracer(tracer);

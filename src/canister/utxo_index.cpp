@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "bitcoin/script.h"
@@ -14,7 +13,6 @@ namespace {
 /// Modelled deterministic execution rate (2e9 instructions/s, the §IV-B
 /// convention shared with BitcoinCanister's endpoint spans).
 constexpr double kInstructionsPerUs = 2000.0;
-constexpr std::size_t kUnrouted = static_cast<std::size_t>(-1);
 }  // namespace
 
 std::size_t ScriptHash::operator()(const util::Bytes& b) const noexcept {
@@ -43,20 +41,6 @@ std::size_t ScriptHash::operator()(const util::Bytes& b) const noexcept {
   return h;
 }
 
-std::uint64_t stable_script_shard_hash(util::ByteSpan script) noexcept {
-  // Canonical byte-at-a-time FNV-1a 64: every host folds the same byte
-  // sequence the same way, so shard assignment is identical across
-  // endianness, word size, and process restarts. Pinned by known-answer
-  // tests (utxo_shard_test); the in-memory ScriptHash above is free to
-  // change, this function is part of the (future) checkpoint format.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t byte : script) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t UtxoIndex::entry_footprint(std::size_t script_len) {
   // Payload (outpoint 36 + value 8 + height 4 + script) plus the stable
   // B-tree node overhead (fixed-width keys, slack, versioning) of the
@@ -67,67 +51,26 @@ std::uint64_t UtxoIndex::entry_footprint(std::size_t script_len) {
   return 2 * (kStableBTreeOverhead + 36 + 8 + 4 + script_len);
 }
 
-UtxoIndex::UtxoIndex(InstructionCosts costs) : UtxoIndex(costs, ShardConfig{}) {}
+UtxoIndex::UtxoIndex(InstructionCosts costs, persist::UtxoBackend backend)
+    : costs_(costs), backend_(backend), store_(persist::make_shard_store(backend)) {}
 
-UtxoIndex::UtxoIndex(InstructionCosts costs, ShardConfig shard_config)
-    : costs_(costs), shard_config_(shard_config) {
-  if (shard_config_.shards == 0) shard_config_.shards = 1;
-  shards_.reserve(shard_config_.shards);
-  for (std::size_t s = 0; s < shard_config_.shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->front = std::make_shared<ShardData>(shard_config_.backend);
-    if (shard_config_.snapshot_reads) {
-      shard->back = std::make_shared<ShardData>(shard_config_.backend);
-    }
-    shards_.push_back(std::move(shard));
-  }
-}
-
-// Moves are for value-semantics plumbing (from_snapshot reassigns the store,
-// BitcoinCanister is returned by value); the source must be quiescent. The
-// epoch atomic is copied by value and the source is left holding one fresh
-// empty shard so its invariants (shards_.size() >= 1) survive.
 UtxoIndex::UtxoIndex(UtxoIndex&& other) noexcept
     : costs_(other.costs_),
-      shard_config_(other.shard_config_),
-      shards_(std::move(other.shards_)),
+      backend_(other.backend_),
+      store_(std::exchange(other.store_, persist::make_shard_store(other.backend_))),
+      memory_bytes_(std::exchange(other.memory_bytes_, 0)),
       metrics_(other.metrics_),
-      tracer_(other.tracer_) {
-  epoch_seq_.store(other.epoch_seq_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  other.shards_.clear();
-  auto fresh = std::make_unique<Shard>();
-  fresh->front = std::make_shared<ShardData>(other.shard_config_.backend);
-  if (other.shard_config_.snapshot_reads) {
-    fresh->back = std::make_shared<ShardData>(other.shard_config_.backend);
-  }
-  other.shards_.push_back(std::move(fresh));
-}
+      tracer_(other.tracer_) {}
 
 UtxoIndex& UtxoIndex::operator=(UtxoIndex&& other) noexcept {
   if (this == &other) return *this;
   costs_ = other.costs_;
-  shard_config_ = other.shard_config_;
-  shards_ = std::move(other.shards_);
+  backend_ = other.backend_;
+  store_ = std::exchange(other.store_, persist::make_shard_store(other.backend_));
+  memory_bytes_ = std::exchange(other.memory_bytes_, 0);
   metrics_ = other.metrics_;
   tracer_ = other.tracer_;
-  epoch_seq_.store(other.epoch_seq_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  other.shards_.clear();
-  auto fresh = std::make_unique<Shard>();
-  fresh->front = std::make_shared<ShardData>(other.shard_config_.backend);
-  if (other.shard_config_.snapshot_reads) {
-    fresh->back = std::make_shared<ShardData>(other.shard_config_.backend);
-  }
-  other.shards_.push_back(std::move(fresh));
   return *this;
-}
-
-UtxoIndex::Pinned UtxoIndex::pin_shard(std::size_t shard) const {
-  const Shard& s = *shards_[shard];
-  // The pin count must be registered while the mutex is held: publish() also
-  // swaps under this mutex, so once the lock is released the writer either
-  // saw the pin (and waits in catch_up) or the reader got the new front.
-  std::lock_guard<std::mutex> lock(s.mu);
-  return Pinned(s.front);
 }
 
 void UtxoIndex::set_metrics(obs::MetricsRegistry* registry) {
@@ -139,108 +82,33 @@ void UtxoIndex::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.removes = &registry->counter("utxo.removes");
   metrics_.size = &registry->gauge("utxo.size");
   metrics_.memory = &registry->gauge("utxo.memory_bytes");
-  metrics_.shard_count = &registry->gauge("utxo.shard.count");
-  metrics_.shard_epoch = &registry->gauge("utxo.shard.epoch");
-  metrics_.shard_max_utxos = &registry->gauge("utxo.shard.max_utxos");
-  metrics_.shard_min_utxos = &registry->gauge("utxo.shard.min_utxos");
-  metrics_.shard_live_bytes = &registry->gauge("utxo.shard.live_bytes");
-  metrics_.shard_resident_bytes = &registry->gauge("utxo.shard.resident_bytes");
+  metrics_.live_bytes = &registry->gauge("utxo.live_bytes");
+  metrics_.resident_bytes = &registry->gauge("utxo.resident_bytes");
   update_size_gauges();
 }
 
 void UtxoIndex::update_size_gauges() {
   if (metrics_.size == nullptr) return;
-  std::size_t total = 0;
-  std::uint64_t memory = 0;
-  std::uint64_t live = 0;
-  std::uint64_t resident = 0;
-  std::size_t max_shard = 0;
-  std::size_t min_shard = static_cast<std::size_t>(-1);
-  for (const auto& shard : shards_) {
-    std::size_t n = shard->front->store->size();
-    total += n;
-    memory += shard->front->memory_bytes;
-    live += shard->front->store->live_bytes();
-    resident += shard->front->store->resident_bytes();
-    if (shard->back != nullptr) resident += shard->back->store->resident_bytes();
-    max_shard = std::max(max_shard, n);
-    min_shard = std::min(min_shard, n);
-  }
-  metrics_.size->set(static_cast<std::int64_t>(total));
-  metrics_.memory->set(static_cast<std::int64_t>(memory));
-  metrics_.shard_count->set(static_cast<std::int64_t>(shards_.size()));
-  metrics_.shard_epoch->set(static_cast<std::int64_t>(epoch()));
-  metrics_.shard_max_utxos->set(static_cast<std::int64_t>(max_shard));
-  metrics_.shard_min_utxos->set(static_cast<std::int64_t>(min_shard));
-  metrics_.shard_live_bytes->set(static_cast<std::int64_t>(live));
-  metrics_.shard_resident_bytes->set(static_cast<std::int64_t>(resident));
+  metrics_.size->set(static_cast<std::int64_t>(store_->size()));
+  metrics_.memory->set(static_cast<std::int64_t>(memory_bytes_));
+  metrics_.live_bytes->set(static_cast<std::int64_t>(store_->live_bytes()));
+  metrics_.resident_bytes->set(static_cast<std::int64_t>(store_->resident_bytes()));
 }
 
-std::uint64_t UtxoIndex::apply_op(ShardData& data, const PendingOp& op, OpCounts* counts) const {
-  if (op.kind == PendingOp::Kind::kInsert) {
-    if (!data.store->insert(op.outpoint, op.output.value, op.height, op.output.script_pubkey)) {
-      return costs_.output_insert;  // duplicate (pre-BIP30); keep first
-    }
-    data.memory_bytes += entry_footprint(op.output.script_pubkey.size());
-    if (counts != nullptr) ++counts->inserted;
-    return costs_.output_insert;
+bool UtxoIndex::insert_entry(const bitcoin::OutPoint& outpoint, const bitcoin::TxOut& output,
+                             int height) {
+  if (!store_->insert(outpoint, output.value, height, output.script_pubkey)) {
+    return false;  // duplicate (pre-BIP30); keep first
   }
-  auto erased = data.store->erase(op.outpoint);
-  if (!erased) return costs_.input_remove;  // unvalidated input; tolerated
-  data.memory_bytes -= entry_footprint(erased->script_len);
-  if (counts != nullptr) ++counts->removed;
-  return costs_.input_remove;
+  memory_bytes_ += entry_footprint(output.script_pubkey.size());
+  return true;
 }
 
-void UtxoIndex::catch_up(std::size_t shard) {
-  Shard& s = *shards_[shard];
-  // The build target was the published buffer two epochs ago; wait for the
-  // last straggling reader to unpin it before mutating. The acquire pairs
-  // with Pinned's release decrement, ordering the reader's last table reads
-  // before our writes.
-  while (s.back->active_pins.load(std::memory_order_acquire) != 0) std::this_thread::yield();
-  for (const auto& op : s.pending) apply_op(*s.back, op, nullptr);  // silent replay
-  s.pending.clear();
-}
-
-void UtxoIndex::publish(std::size_t shard) {
-  Shard& s = *shards_[shard];
-  std::lock_guard<std::mutex> lock(s.mu);
-  std::swap(s.front, s.back);
-}
-
-void UtxoIndex::point_mutation(const PendingOp& op, ic::InstructionMeter& meter) {
-  std::size_t shard = kUnrouted;
-  if (op.kind == PendingOp::Kind::kInsert) {
-    shard = shard_of(op.output.script_pubkey);
-  } else {
-    // Outpoint-keyed: probe the shards (an entry lives in exactly one, the
-    // shard of its script).
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (front_of(s).store->contains(op.outpoint)) {
-        shard = s;
-        break;
-      }
-    }
-    if (shard == kUnrouted) {
-      meter.charge(costs_.input_remove);  // miss: charged, tolerated, no epoch
-      return;
-    }
-  }
-  OpCounts counts;
-  if (shard_config_.snapshot_reads) {
-    catch_up(shard);
-    meter.charge(apply_op(*shards_[shard]->back, op, &counts));
-    shards_[shard]->pending.push_back(op);
-    epoch_seq_.fetch_add(1, std::memory_order_acq_rel);  // odd: publishing
-    publish(shard);
-    epoch_seq_.fetch_add(1, std::memory_order_release);
-  } else {
-    meter.charge(apply_op(*shards_[shard]->front, op, &counts));
-    epoch_seq_.fetch_add(2, std::memory_order_release);
-  }
-  if (metrics_.inserts != nullptr && counts.inserted > 0) metrics_.inserts->inc();
-  if (metrics_.removes != nullptr && counts.removed > 0) metrics_.removes->inc();
+bool UtxoIndex::erase_entry(const bitcoin::OutPoint& outpoint) {
+  auto erased = store_->erase(outpoint);
+  if (!erased) return false;  // unvalidated input; tolerated
+  memory_bytes_ -= entry_footprint(erased->script_len);
+  return true;
 }
 
 void UtxoIndex::insert(const bitcoin::OutPoint& outpoint, const bitcoin::TxOut& output,
@@ -249,196 +117,61 @@ void UtxoIndex::insert(const bitcoin::OutPoint& outpoint, const bitcoin::TxOut& 
     meter.charge(costs_.per_tx_overhead / 8);
     return;
   }
-  PendingOp op;
-  op.kind = PendingOp::Kind::kInsert;
-  op.outpoint = outpoint;
-  op.output = output;
-  op.height = height;
-  point_mutation(op, meter);
+  meter.charge(costs_.output_insert);
+  if (insert_entry(outpoint, output, height) && metrics_.inserts != nullptr) {
+    metrics_.inserts->inc();
+  }
 }
 
 void UtxoIndex::remove(const bitcoin::OutPoint& outpoint, ic::InstructionMeter& meter) {
-  PendingOp op;
-  op.kind = PendingOp::Kind::kRemove;
-  op.outpoint = outpoint;
-  point_mutation(op, meter);
+  meter.charge(costs_.input_remove);
+  if (erase_entry(outpoint) && metrics_.removes != nullptr) metrics_.removes->inc();
 }
 
 BlockApplyStats UtxoIndex::apply_block(const bitcoin::Block& block, int height,
-                                       ic::InstructionMeter& meter,
-                                       parallel::ThreadPool* pool) {
-  const std::size_t n_shards = shards_.size();
-  const bool snapshot = shard_config_.snapshot_reads;
+                                       ic::InstructionMeter& meter) {
   BlockApplyStats stats;
   stats.transactions = block.transactions.size();
-
-  // Pass 1 — route. Every output of the block is mapped first so spends of
-  // any in-block output resolve to the output's shard regardless of tx order
-  // (a spend *preceding* its output stays a tolerated miss there, exactly as
-  // on the serial path, because shard order preserves block order). Inserts
-  // route directly by script; OP_RETURN outputs are charge-only and never
-  // become ops.
-  std::unordered_map<bitcoin::OutPoint, std::size_t> local_outputs;
+  std::uint64_t inserted = 0;
+  std::uint64_t removed = 0;
+  // A spend of an output created later in the same block misses (and is
+  // charged) exactly like a spend of an unknown outpoint. OP_RETURN decode
+  // counts as insert work, every issued remove as remove work.
   for (const auto& tx : block.transactions) {
-    util::Hash256 txid = tx.txid();
-    for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
-      if (bitcoin::is_op_return(tx.outputs[i].script_pubkey)) continue;
-      local_outputs.emplace(bitcoin::OutPoint{txid, i}, shard_of(tx.outputs[i].script_pubkey));
-    }
-  }
-
-  struct SeqOp {
-    PendingOp op;
-    std::size_t shard = kUnrouted;
-  };
-  std::vector<SeqOp> seq;
-  std::vector<std::size_t> unresolved;  // indices into seq: removes of pre-block outputs
-  std::uint64_t per_tx_charges = 0;
-  std::uint64_t op_return_charges = 0;
-  for (const auto& tx : block.transactions) {
-    per_tx_charges += costs_.per_tx_overhead;
     if (!tx.is_coinbase()) {
       for (const auto& in : tx.inputs) {
         ++stats.inputs_removed;
-        SeqOp sop;
-        sop.op.kind = PendingOp::Kind::kRemove;
-        sop.op.outpoint = in.prevout;
-        auto local = local_outputs.find(in.prevout);
-        if (local != local_outputs.end()) sop.shard = local->second;
-        if (sop.shard == kUnrouted) unresolved.push_back(seq.size());
-        seq.push_back(std::move(sop));
+        stats.remove_instructions += costs_.input_remove;
+        if (erase_entry(in.prevout)) ++removed;
       }
     }
     util::Hash256 txid = tx.txid();
     for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
       const bitcoin::TxOut& out = tx.outputs[i];
       if (bitcoin::is_op_return(out.script_pubkey)) {
-        op_return_charges += costs_.per_tx_overhead / 8;
+        stats.insert_instructions += costs_.per_tx_overhead / 8;
         continue;
       }
       ++stats.outputs_inserted;
-      SeqOp sop;
-      sop.op.kind = PendingOp::Kind::kInsert;
-      sop.op.outpoint = bitcoin::OutPoint{txid, i};
-      sop.op.output = out;
-      sop.op.height = height;
-      sop.shard = shard_of(out.script_pubkey);
-      seq.push_back(std::move(sop));
+      stats.insert_instructions += costs_.output_insert;
+      if (insert_entry(bitcoin::OutPoint{txid, i}, out, height)) ++inserted;
     }
   }
-
-  // Pass 2 — resolve outpoint-keyed removes against the published state,
-  // shard-parallel. An outpoint lives in at most one shard, so the probes
-  // write disjoint slots; misses everywhere are charged (serial semantics:
-  // remove() always charges) and dropped.
-  std::uint64_t miss_charges = 0;
-  if (!unresolved.empty()) {
-    std::vector<std::size_t> probe(unresolved.size(), kUnrouted);
-    parallel::parallel_for(pool, n_shards, [&](std::size_t s) {
-      const persist::ShardStore& store = *front_of(s).store;
-      for (std::size_t i = 0; i < unresolved.size(); ++i) {
-        if (store.contains(seq[unresolved[i]].op.outpoint)) probe[i] = s;
-      }
-    });
-    for (std::size_t i = 0; i < unresolved.size(); ++i) {
-      if (probe[i] != kUnrouted) {
-        seq[unresolved[i]].shard = probe[i];
-      } else {
-        miss_charges += costs_.input_remove;
-      }
-    }
-  }
-
-  // Pass 3 — distribute to per-shard op lists, preserving block order.
-  struct ShardWork {
-    std::vector<PendingOp> ops;
-    std::uint64_t insert_charges = 0;
-    std::uint64_t remove_charges = 0;
-    OpCounts counts;
-  };
-  std::vector<ShardWork> work(n_shards);
-  for (auto& sop : seq) {
-    if (sop.shard == kUnrouted) continue;
-    work[sop.shard].ops.push_back(std::move(sop.op));
-  }
-  std::vector<std::size_t> touched;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    if (!work[s].ops.empty()) touched.push_back(s);
-  }
-  stats.shards_touched = touched.size();
-
-  // Pass 4 — apply, shard-parallel. Snapshot mode mutates each shard's back
-  // buffer (after catching it up and waiting out its last readers) while the
-  // front keeps serving the previous epoch; otherwise mutate in place.
-  // Charges and counts accumulate per shard, never touching the meter from a
-  // worker thread.
-  parallel::parallel_for(pool, touched.size(), [&](std::size_t t) {
-    std::size_t s = touched[t];
-    ShardWork& w = work[s];
-    if (snapshot) catch_up(s);
-    ShardData& target = snapshot ? *shards_[s]->back : *shards_[s]->front;
-    for (const auto& op : w.ops) {
-      std::uint64_t charge = apply_op(target, op, &w.counts);
-      if (op.kind == PendingOp::Kind::kInsert) {
-        w.insert_charges += charge;
-      } else {
-        w.remove_charges += charge;
-      }
-    }
-    if (snapshot) shards_[s]->pending = std::move(w.ops);
-  });
-
-  // Pass 5 — serial epilogue in deterministic order: fixed charges first,
-  // then each touched shard's accumulated charges in shard-index order. The
-  // sum — and therefore every enclosing meter segment — is identical to the
-  // serial path for every shard count and pool configuration.
-  meter.charge(per_tx_charges + op_return_charges + miss_charges);
-  std::uint64_t max_shard_charges = 0;
-  std::uint64_t inserted = 0;
-  std::uint64_t removed = 0;
-  for (std::size_t s : touched) {
-    const ShardWork& w = work[s];
-    std::uint64_t shard_charges = w.insert_charges + w.remove_charges;
-    meter.charge(shard_charges);
-    stats.insert_instructions += w.insert_charges;
-    stats.remove_instructions += w.remove_charges;
-    max_shard_charges = std::max(max_shard_charges, shard_charges);
-    inserted += w.counts.inserted;
-    removed += w.counts.removed;
-  }
-  // Stats mirror the serial ingestion breakdown: OP_RETURN decode counts as
-  // insert work, unresolved-miss charges as remove work.
-  stats.insert_instructions += op_return_charges;
-  stats.remove_instructions += miss_charges;
-  stats.instructions = per_tx_charges + stats.insert_instructions + stats.remove_instructions;
-  stats.critical_path_instructions =
-      per_tx_charges + op_return_charges + miss_charges + max_shard_charges;
+  stats.instructions = stats.transactions * costs_.per_tx_overhead + stats.insert_instructions +
+                       stats.remove_instructions;
+  meter.charge(stats.instructions);
 
   if (metrics_.inserts != nullptr && inserted > 0) metrics_.inserts->inc(inserted);
   if (metrics_.removes != nullptr && removed > 0) metrics_.removes->inc(removed);
-
-  // Pass 6 — publish: swap every touched shard's buffers under its mutex.
-  // The epoch sequence is odd while swaps are in flight so multi-shard
-  // readers (pin()) can detect a torn acquisition and retry.
-  if (snapshot) {
-    epoch_seq_.fetch_add(1, std::memory_order_acq_rel);
-    for (std::size_t s : touched) publish(s);
-    epoch_seq_.fetch_add(1, std::memory_order_release);
-  } else {
-    epoch_seq_.fetch_add(2, std::memory_order_release);
-  }
   update_size_gauges();
 
   if (tracer_ != nullptr) {
     obs::ScopedSpan span(tracer_, "utxo.apply_block", "canister");
     span.attr("height", static_cast<std::int64_t>(height));
-    span.attr("shards_touched", static_cast<std::uint64_t>(stats.shards_touched));
     span.attr("ops", static_cast<std::uint64_t>(stats.inputs_removed + stats.outputs_inserted));
     span.attr("instructions", stats.instructions);
-    span.attr("critical_path_instructions", stats.critical_path_instructions);
-    span.end_at(span.start() +
-                static_cast<obs::TraceTime>(
-                    static_cast<double>(stats.critical_path_instructions) / kInstructionsPerUs));
+    span.end_at(span.start() + static_cast<obs::TraceTime>(
+                                   static_cast<double>(stats.instructions) / kInstructionsPerUs));
   }
   return stats;
 }
@@ -448,13 +181,12 @@ std::vector<StoredUtxo> UtxoIndex::utxos_for_script(const util::Bytes& script_pu
                                                     std::uint64_t per_read_cost) const {
   if (per_read_cost == 0) per_read_cost = costs_.stable_utxo_read;
   std::vector<StoredUtxo> out;
-  Pinned pin = pin_shard(shard_of(script_pubkey));
-  out.reserve(pin->store->script_utxo_count(script_pubkey));
+  out.reserve(store_->script_utxo_count(script_pubkey));
   auto walk = [&](const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height) {
     meter.charge(per_read_cost);
     out.push_back(StoredUtxo{outpoint, value, height});
   };
-  pin->store->for_each_of_script(script_pubkey, persist::ShardStore::UtxoVisitor(walk));
+  store_->for_each_of_script(script_pubkey, persist::ShardStore::UtxoVisitor(walk));
   return out;
 }
 
@@ -469,119 +201,52 @@ std::size_t UtxoIndex::utxos_for_script(const util::Bytes& script_pubkey,
 bitcoin::Amount UtxoIndex::balance_of_script(const util::Bytes& script_pubkey,
                                              ic::InstructionMeter& meter) const {
   bitcoin::Amount total = 0;
-  Pinned pin = pin_shard(shard_of(script_pubkey));
   auto walk = [&](const bitcoin::OutPoint&, bitcoin::Amount value, int) {
     meter.charge(costs_.stable_balance_read);
     total += value;
   };
-  pin->store->for_each_of_script(script_pubkey, persist::ShardStore::UtxoVisitor(walk));
+  store_->for_each_of_script(script_pubkey, persist::ShardStore::UtxoVisitor(walk));
   return total;
 }
 
 std::optional<StoredUtxo> UtxoIndex::find(const bitcoin::OutPoint& outpoint) const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Pinned pin = pin_shard(s);
-    if (auto found = pin->store->find(outpoint)) {
-      return StoredUtxo{outpoint, found->value, found->height};
-    }
-  }
-  return std::nullopt;
+  auto found = store_->find(outpoint);
+  if (!found) return std::nullopt;
+  return StoredUtxo{outpoint, found->value, found->height};
 }
 
 std::optional<util::Bytes> UtxoIndex::script_of(const bitcoin::OutPoint& outpoint) const {
   util::Bytes script;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Pinned pin = pin_shard(s);
-    if (pin->store->script_of(outpoint, script)) return script;
-  }
-  return std::nullopt;
+  if (!store_->script_of(outpoint, script)) return std::nullopt;
+  return script;
 }
 
 void UtxoIndex::load_entry(const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
                            util::ByteSpan script) {
-  Shard& s = *shards_[shard_of(script)];
-  if (s.front->store->insert(outpoint, value, height, script)) {
-    s.front->memory_bytes += entry_footprint(script.size());
-  }
-  if (s.back != nullptr && s.back->store->insert(outpoint, value, height, script)) {
-    s.back->memory_bytes += entry_footprint(script.size());
+  if (store_->load(outpoint, value, height, script)) {
+    memory_bytes_ += entry_footprint(script.size());
   }
 }
 
 void UtxoIndex::finish_load() {
-  // Bulk loads grow the backends by vector doubling; a restore should end
-  // memory-tight, so compact every buffer before publishing the epoch.
-  for (auto& shard : shards_) {
-    shard->front->store->compact();
-    if (shard->back != nullptr) shard->back->store->compact();
-  }
-  epoch_seq_.fetch_add(2, std::memory_order_release);
+  store_->finish_load();
   update_size_gauges();
 }
 
-std::size_t UtxoIndex::size() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) total += pin_shard(s)->store->size();
-  return total;
-}
-
-std::uint64_t UtxoIndex::memory_bytes() const {
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) total += pin_shard(s)->memory_bytes;
-  return total;
-}
-
-std::uint64_t UtxoIndex::live_bytes() const {
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) total += pin_shard(s)->store->live_bytes();
-  return total;
-}
-
-std::uint64_t UtxoIndex::resident_bytes() const {
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.front->store->resident_bytes();
-    if (shard.back != nullptr) total += shard.back->store->resident_bytes();
-  }
-  return total;
-}
-
-std::size_t UtxoIndex::distinct_scripts() const {
-  // A script's entries live in exactly one shard, so per-shard counts sum.
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    total += pin_shard(s)->store->distinct_scripts();
-  }
-  return total;
-}
-
 util::Hash256 UtxoIndex::digest() const {
-  // Pin every shard (kept alive for the walk), gather, sort globally by
-  // outpoint: the serialization — and hence the digest — is independent of
-  // shard count, backend, insertion order, and table iteration order. The
-  // script spans point into pinned shard storage and stay valid until the
-  // pins drop at function exit.
-  std::vector<Pinned> pins;
-  pins.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) pins.push_back(pin_shard(s));
-
+  // Gather and sort by outpoint: the serialization — and hence the digest —
+  // is independent of backend, insertion order, and table iteration order.
+  // The script spans point into the store and stay valid for the walk.
   struct Row {
     bitcoin::OutPoint outpoint;
     bitcoin::Amount value;
     int height;
     util::ByteSpan script;
   };
-  std::size_t total = 0;
-  for (const auto& pin : pins) total += pin->store->size();
   std::vector<Row> rows;
-  rows.reserve(total);
-  for (const auto& pin : pins) {
-    auto walk = [&](const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
-                    util::ByteSpan script) { rows.push_back(Row{outpoint, value, height, script}); };
-    pin->store->visit(persist::ShardStore::EntryVisitor(walk));
-  }
+  rows.reserve(store_->size());
+  visit([&](const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
+            util::ByteSpan script) { rows.push_back(Row{outpoint, value, height, script}); });
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.outpoint < b.outpoint; });
 

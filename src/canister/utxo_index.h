@@ -1,28 +1,13 @@
 // The Bitcoin canister's stable UTXO store: the full UTXO set up to the
 // anchor height, indexed both by outpoint (for spend removal) and by
 // scriptPubKey (for get_utxos/get_balance), with instruction metering that
-// models the canister's measured per-operation costs (Fig. 6).
-//
-// The store is partitioned into N shards keyed by a serialization-stable
-// hash of the scriptPubKey bytes, so every mutation of a UTXO — its insert
-// and its eventual spend — lands on exactly one shard. apply_block
-// partitions a block's inserts/removes by shard (outpoint-keyed removes are
-// routed via a per-block script-resolution pass) and applies the shards in
-// parallel on src/parallel's pool; metering stays bit-exact with the serial
-// path because charges accumulate per shard and are summed into the meter in
-// deterministic shard order. With snapshot reads enabled, each shard is
-// double-buffered and queries pin the last *published* epoch: reads traverse
-// an immutable shard snapshot (acquired via a mutex-guarded pointer copy,
-// never blocked behind mutation work) while ingestion builds the next epoch
-// off to the side.
+// models the canister's measured per-operation costs (Fig. 6). It is one
+// store, mutated in place: the IC executes a canister's messages one at a
+// time (DESIGN.md §11).
 #pragma once
 
-#include <atomic>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "bitcoin/block.h"
@@ -30,7 +15,6 @@
 #include "ic/metering.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "persist/shard_store.h"
 
 namespace icbtc::canister {
@@ -68,17 +52,10 @@ struct StoredUtxo {
 /// (FNV-style multiply over 64-bit words) instead of the byte-at-a-time loop
 /// it replaces — same interface, same lookup behavior, ~8x fewer multiplies
 /// on the `by_script_` hot path. Process-local only: values depend on host
-/// endianness and must never be serialized — which is also why it must NOT
-/// pick shards (see stable_script_shard_hash).
+/// endianness and must never be serialized.
 struct ScriptHash {
   std::size_t operator()(const util::Bytes& b) const noexcept;
 };
-
-/// Serialization-stable reduction of script bytes used for shard selection:
-/// byte-at-a-time FNV-1a 64, independent of host endianness and word size,
-/// so shard assignment survives checkpoint/restart across machines. Pinned
-/// by known-answer tests; never change without a migration plan.
-std::uint64_t stable_script_shard_hash(util::ByteSpan script) noexcept;
 
 /// Per-block apply statistics (drives IngestStats and the Fig. 6 benches).
 struct BlockApplyStats {
@@ -88,70 +65,40 @@ struct BlockApplyStats {
   std::uint64_t instructions = 0;    // total charged to the meter by this block
   std::uint64_t insert_instructions = 0;
   std::uint64_t remove_instructions = 0;
-  /// Modelled shard-parallel latency of the block in instructions: the serial
-  /// prologue (per-tx overhead, unrouted removes, OP_RETURN decode) plus the
-  /// *maximum* per-shard mutation charge — what a replica executing shards
-  /// concurrently would wait for, vs. `instructions` which is the serial sum.
-  std::uint64_t critical_path_instructions = 0;
-  std::size_t shards_touched = 0;
 };
 
 class UtxoIndex {
  public:
-  struct ShardConfig {
-    /// Number of shards (>= 1). 1 reproduces the unsharded layout.
-    std::size_t shards = 1;
-    /// Double-buffer each shard and publish epochs so reads can serve a
-    /// consistent snapshot while apply_block mutates. Costs 2x host memory
-    /// and replays each block's ops once more (catch-up) per touched shard.
-    bool snapshot_reads = false;
-    /// Per-shard backing store. The flat arena is the production layout; the
-    /// node-map backend is kept as the differential oracle and bench
-    /// baseline. Responses, metering, and digests are backend-invariant.
-    persist::UtxoBackend backend = persist::UtxoBackend::kArena;
-  };
-
   UtxoIndex() : UtxoIndex(InstructionCosts{}) {}
-  explicit UtxoIndex(InstructionCosts costs);  // single shard, no snapshots
-  UtxoIndex(InstructionCosts costs, ShardConfig shard_config);
+  /// `backend` picks the backing store. The flat arena is the production
+  /// layout; the node-map backend is kept as the differential oracle and
+  /// bench baseline. Responses, metering, and digests are backend-invariant.
+  explicit UtxoIndex(InstructionCosts costs,
+                     persist::UtxoBackend backend = persist::UtxoBackend::kArena);
 
+  /// Moves leave the source a valid, empty store of the same backend.
   UtxoIndex(UtxoIndex&& other) noexcept;
   UtxoIndex& operator=(UtxoIndex&& other) noexcept;
 
   const InstructionCosts& costs() const { return costs_; }
-  std::size_t shard_count() const { return shards_.size(); }
-  bool snapshot_reads() const { return shard_config_.snapshot_reads; }
-  persist::UtxoBackend backend() const { return shard_config_.backend; }
-  /// Published epoch: increments once per apply_block (and once per point
-  /// mutation), after the new state becomes visible to readers.
-  std::uint64_t epoch() const { return epoch_seq_.load(std::memory_order_acquire) / 2; }
-
-  /// Shard owning `script_pubkey` under the current configuration.
-  std::size_t shard_of(util::ByteSpan script_pubkey) const {
-    return static_cast<std::size_t>(stable_script_shard_hash(script_pubkey) % shards_.size());
-  }
+  persist::UtxoBackend backend() const { return backend_; }
 
   /// Inserts an output. OP_RETURN outputs are unspendable and skipped (but
   /// still charged a nominal decode cost). Point mutations are setup/restore
-  /// helpers: they mutate the published buffer in place and are NOT safe
-  /// against concurrent snapshot readers (apply_block is the publisher).
+  /// helpers with exactly apply_block's per-operation charges.
   void insert(const bitcoin::OutPoint& outpoint, const bitcoin::TxOut& output, int height,
               ic::InstructionMeter& meter);
 
   /// Removes a spent output; missing outpoints are tolerated (the canister
-  /// does not validate transactions, §III-C) but still charged. Same
-  /// single-threaded contract as insert().
+  /// does not validate transactions, §III-C) but still charged.
   void remove(const bitcoin::OutPoint& outpoint, ic::InstructionMeter& meter);
 
-  /// Applies every transaction of a block (inputs removed, outputs added).
-  /// With `pool` non-null the per-shard mutations run shard-parallel; the
-  /// meter total, metrics, digest, and final state are bit-identical for
-  /// every shard count and pool configuration. With snapshot reads enabled,
-  /// concurrent readers keep serving the previous epoch until the block's
-  /// state is published at the end of the call.
+  /// Applies every transaction of a block in block order: per transaction,
+  /// the per-tx overhead, then its inputs removed, then its outputs
+  /// inserted. The IC executes one message at a time, so the store is
+  /// mutated in place.
   BlockApplyStats apply_block(const bitcoin::Block& block, int height,
-                              ic::InstructionMeter& meter,
-                              parallel::ThreadPool* pool = nullptr);
+                              ic::InstructionMeter& meter);
 
   /// All UTXOs paying `script_pubkey`, sorted by height descending then by
   /// outpoint (the get_utxos response order). Charges `per_read_cost` per
@@ -164,16 +111,13 @@ class UtxoIndex {
   /// exactly once, appends the entries with rank [offset, offset + limit)
   /// among those passing `keep(outpoint)` to `out`, and charges
   /// `per_read_cost` only for appended entries — a page meters only what it
-  /// returns. Returns the total number of entries passing `keep`. A script's
-  /// UTXOs live in exactly one shard, so a page reads one pinned snapshot and
-  /// the response order is shard-count-invariant.
+  /// returns. Returns the total number of entries passing `keep`.
   template <typename Keep>
   std::size_t utxos_for_script_paged(const util::Bytes& script_pubkey,
                                      ic::InstructionMeter& meter, std::size_t offset,
                                      std::size_t limit, std::vector<StoredUtxo>& out, Keep&& keep,
                                      std::uint64_t per_read_cost = 0) const {
     if (per_read_cost == 0) per_read_cost = costs_.stable_utxo_read;
-    Pinned pin = pin_shard(shard_of(script_pubkey));
     std::size_t kept = 0;
     auto walk = [&](const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height) {
       if (!keep(outpoint)) return;
@@ -183,7 +127,7 @@ class UtxoIndex {
       }
       ++kept;
     };
-    pin->store->for_each_of_script(script_pubkey, persist::ShardStore::UtxoVisitor(walk));
+    store_->for_each_of_script(script_pubkey, persist::ShardStore::UtxoVisitor(walk));
     return kept;
   }
 
@@ -198,181 +142,81 @@ class UtxoIndex {
                                     ic::InstructionMeter& meter) const;
 
   /// Looks up a single UTXO by outpoint (used to resolve unstable spends of
-  /// stable outputs). Probes the shards; an outpoint lives in the shard of
-  /// its script, so at most one shard answers.
+  /// stable outputs).
   std::optional<StoredUtxo> find(const bitcoin::OutPoint& outpoint) const;
-  /// The script paying a stored outpoint (copied out of the backing store),
-  /// or nullopt.
+  /// The script paying a stored outpoint (copied out of the store), or
+  /// nullopt.
   std::optional<util::Bytes> script_of(const bitcoin::OutPoint& outpoint) const;
 
   /// Visits every entry as fn(outpoint, value, height, script_span); used by
-  /// state serialization. Order is deterministic for a fixed shard
-  /// configuration and mutation history (shards in index order, each shard
-  /// in its backend order) but NOT shard-count-invariant — use digest() for
-  /// cross-configuration comparison. The script span is only valid for the
-  /// duration of the callback. Quiesced callers only.
+  /// state serialization. Order is the backend's, deterministic for a fixed
+  /// mutation history but backend-specific — use digest() for
+  /// cross-backend comparison. The script span is only valid for the
+  /// duration of the callback.
   template <typename Fn>
   void visit(Fn&& fn) const {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Pinned pin = pin_shard(s);
-      auto walk = [&](const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
-                      util::ByteSpan script) { fn(outpoint, value, height, script); };
-      pin->store->visit(persist::ShardStore::EntryVisitor(walk));
-    }
+    auto walk = [&](const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
+                    util::ByteSpan script) { fn(outpoint, value, height, script); };
+    store_->visit(persist::ShardStore::EntryVisitor(walk));
   }
 
-  /// Bulk-restore path: inserts one entry directly into the owning shard's
-  /// buffers (both buffers in snapshot mode), bypassing the per-mutation
-  /// catch-up/publish machinery — restoring 1M+ UTXOs must not replay the
-  /// epoch protocol per entry. The index must be quiescent and freshly
-  /// constructed; call finish_load() once after the last entry.
+  /// Bulk-restore path: inserts one entry without charging the meter. The
+  /// index must be freshly constructed; call finish_load() once after the
+  /// last entry, before any other call.
   void load_entry(const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
                   util::ByteSpan script);
-  /// Seals a load_entry() sequence: bumps the epoch once and refreshes gauges.
+  /// Seals a load_entry() sequence and refreshes the gauges.
   void finish_load();
 
-  std::size_t size() const;
+  std::size_t size() const { return store_->size(); }
   /// Modelled stable-memory footprint in bytes (drives Fig. 5): outpoint +
-  /// value + height + script, plus both index overheads. Shard-count- and
-  /// snapshot-invariant: the model charges the logical set once, regardless
-  /// of host-side double-buffering.
-  std::uint64_t memory_bytes() const;
-  /// Exact host bytes attributable to live entries in the published buffers
-  /// (backend accounting, not the Fig. 5 model).
-  std::uint64_t live_bytes() const;
-  /// Exact host capacity held by every shard buffer — front AND back in
-  /// snapshot mode, since the host really holds both.
-  std::uint64_t resident_bytes() const;
-  std::size_t distinct_scripts() const;
+  /// value + height + script, plus both index overheads.
+  std::uint64_t memory_bytes() const { return memory_bytes_; }
+  /// Exact host bytes attributable to live entries (backend accounting, not
+  /// the Fig. 5 model).
+  std::uint64_t live_bytes() const { return store_->live_bytes(); }
+  /// Exact host capacity the backing store holds.
+  std::uint64_t resident_bytes() const { return store_->resident_bytes(); }
+  std::size_t distinct_scripts() const { return store_->distinct_scripts(); }
 
-  /// Attaches a metrics registry (nullptr detaches): insert/remove rates,
-  /// size/memory gauges under `utxo.*`, and shard-layout gauges under
-  /// `utxo.shard.*` (count, published epoch, min/max shard size). The
-  /// shard-layout gauges describe the configuration, so snapshots taken at
-  /// different shard counts differ in exactly that namespace.
+  /// Attaches a metrics registry (nullptr detaches): insert/remove rates and
+  /// the size, modelled-memory, live-byte and resident-byte gauges under
+  /// `utxo.*`. Gauges refresh once per apply_block / finish_load.
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// Attaches a tracer (nullptr detaches): apply_block emits a
-  /// "utxo.apply_block" span whose end time is the modelled shard-parallel
-  /// latency (critical-path instructions at the canister's 2000/µs rate).
+  /// "utxo.apply_block" span whose end time is the block's metered
+  /// instructions at the canister's 2000/µs rate.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  /// Pushes the size/memory/shard gauges to the registry. insert/remove no
-  /// longer update gauges per mutation; batch callers (apply_block, the
-  /// canister's ingestion loop) flush once per block instead.
-  void flush_size_gauges() { update_size_gauges(); }
 
   /// Deterministic digest of the entire UTXO set: sha256 over the
   /// outpoint-sorted serialization of every entry (outpoint, value, height,
-  /// script). Independent of insertion order, hash-map iteration order, AND
-  /// shard count — serial and shard-parallel ingestion at any configuration
-  /// must produce identical digests.
+  /// script). Independent of insertion order, hash-map iteration order, and
+  /// backend.
   util::Hash256 digest() const;
 
  private:
-  /// One shard's backing store. Published snapshots are immutable while they
-  /// are the front buffer; `active_pins` counts readers still traversing a
-  /// buffer after it was unpublished, so the writer knows when it may be
-  /// recycled as the next epoch's build target.
-  struct ShardData {
-    explicit ShardData(persist::UtxoBackend backend)
-        : store(persist::make_shard_store(backend)) {}
-    std::unique_ptr<persist::ShardStore> store;
-    std::uint64_t memory_bytes = 0;  // modelled Fig. 5 footprint of this buffer
-    std::atomic<std::uint32_t> active_pins{0};
-  };
-
-  /// A block mutation routed to one shard, kept in block-sequence order.
-  /// Owns its script bytes so catch-up replay stays valid after the source
-  /// block is discarded (the canister erases ingested blocks immediately).
-  struct PendingOp {
-    enum class Kind : std::uint8_t { kInsert, kRemove };
-    Kind kind = Kind::kInsert;
-    bitcoin::OutPoint outpoint;
-    bitcoin::TxOut output;  // insert only
-    int height = 0;         // insert only
-  };
-
-  struct Shard {
-    mutable std::mutex mu;  // guards front/back pointer swaps and reader acquisition
-    std::shared_ptr<ShardData> front;  // published; immutable while front
-    std::shared_ptr<ShardData> back;   // writer's build target (snapshot mode only)
-    /// Ops already applied to front but not yet to back; replaying them
-    /// (catch-up) brings back up to front's state before the next block.
-    std::vector<PendingOp> pending;
-  };
-
-  /// RAII pin of one shard's published snapshot: mutex-guarded pointer copy
-  /// on acquire (O(1), never blocked behind mutation work), lock-free
-  /// traversal, release-fenced unpin so the writer's exclusivity wait
-  /// synchronizes with the last reader.
-  class Pinned {
-   public:
-    Pinned(std::shared_ptr<ShardData> data) : data_(std::move(data)) {
-      data_->active_pins.fetch_add(1, std::memory_order_acq_rel);
-    }
-    ~Pinned() {
-      if (data_ != nullptr) data_->active_pins.fetch_sub(1, std::memory_order_release);
-    }
-    Pinned(const Pinned&) = delete;
-    Pinned& operator=(const Pinned&) = delete;
-    Pinned(Pinned&& other) noexcept : data_(std::move(other.data_)) { other.data_.reset(); }
-
-    const ShardData* operator->() const { return data_.get(); }
-    const ShardData& operator*() const { return *data_; }
-
-   private:
-    std::shared_ptr<ShardData> data_;
-  };
-
-  Pinned pin_shard(std::size_t shard) const;
-  /// The writer's view of a shard's current state (front buffer, unpinned) —
-  /// only safe from the mutation path itself.
-  ShardData& front_of(std::size_t shard) { return *shards_[shard]->front; }
-  const ShardData& front_of(std::size_t shard) const { return *shards_[shard]->front; }
-
-  /// Applies one op to `data`, returning the instructions the op charges.
-  /// `accum` (nullable) receives insert/remove counts for metrics.
-  struct OpCounts {
-    std::uint64_t inserted = 0;
-    std::uint64_t removed = 0;
-  };
-  std::uint64_t apply_op(ShardData& data, const PendingOp& op, OpCounts* counts) const;
-
-  /// Brings a shard's back buffer up to its front's state (replays pending,
-  /// waits for reader exclusivity first) — snapshot mode only.
-  void catch_up(std::size_t shard);
-  /// Publishes a shard's back buffer as the new front (pointer swap under
-  /// the shard mutex); the old front becomes the next build target.
-  void publish(std::size_t shard);
-  /// Applies a point mutation to both buffers (snapshot mode) or the single
-  /// buffer, bumping the epoch.
-  void point_mutation(const PendingOp& op, ic::InstructionMeter& meter);
+  /// Applies one insert/remove to the store (uncharged), returning whether
+  /// the store changed.
+  bool insert_entry(const bitcoin::OutPoint& outpoint, const bitcoin::TxOut& output, int height);
+  bool erase_entry(const bitcoin::OutPoint& outpoint);
 
   void update_size_gauges();
 
   static std::uint64_t entry_footprint(std::size_t script_len);
 
   InstructionCosts costs_;
-  ShardConfig shard_config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Seqlock-style epoch sequence: odd while a publication is in progress,
-  /// epoch = seq / 2. Readers needing a cross-shard-consistent view retry
-  /// around odd/changed values; single-script reads don't need it (a script
-  /// lives in exactly one shard).
-  std::atomic<std::uint64_t> epoch_seq_{0};
+  persist::UtxoBackend backend_;
+  std::unique_ptr<persist::ShardStore> store_;
+  std::uint64_t memory_bytes_ = 0;  // modelled Fig. 5 footprint
 
   struct Metrics {
     obs::Counter* inserts = nullptr;
     obs::Counter* removes = nullptr;
     obs::Gauge* size = nullptr;
     obs::Gauge* memory = nullptr;
-    obs::Gauge* shard_count = nullptr;
-    obs::Gauge* shard_epoch = nullptr;
-    obs::Gauge* shard_max_utxos = nullptr;
-    obs::Gauge* shard_min_utxos = nullptr;
-    obs::Gauge* shard_live_bytes = nullptr;
-    obs::Gauge* shard_resident_bytes = nullptr;
+    obs::Gauge* live_bytes = nullptr;
+    obs::Gauge* resident_bytes = nullptr;
   };
   Metrics metrics_;
   obs::Tracer* tracer_ = nullptr;

@@ -1,5 +1,6 @@
 #include "persist/flat_utxo_arena.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace icbtc::persist {
@@ -137,7 +138,7 @@ void FlatUtxoArena::rehash_script_table(std::size_t capacity) {
   script_tombstones_ = 0;
   for (std::uint32_t idx = 0; idx < script_recs_.size(); ++idx) {
     const ScriptRec& rec = script_recs_[idx];
-    if (rec.head == kNil) continue;
+    if (rec.count == 0) continue;
     insert_script_slot(script_span(rec), idx);
   }
 }
@@ -162,10 +163,10 @@ bool FlatUtxoArena::chain_before(const Entry& a, const Entry& b) const {
   return a.vout < b.vout;
 }
 
-void FlatUtxoArena::chain_link(ScriptRec& rec, std::uint32_t idx) {
+void FlatUtxoArena::chain_link(ScriptRec& rec, std::uint32_t idx, std::uint32_t after) {
   Entry& e = entries_[idx];
-  std::uint32_t cur = rec.head;
-  std::uint32_t prev = kNil;
+  std::uint32_t prev = after;
+  std::uint32_t cur = after == kNil ? rec.head : entries_[after].next;
   while (cur != kNil && chain_before(entries_[cur], e)) {
     prev = cur;
     cur = entries_[cur].next;
@@ -178,7 +179,6 @@ void FlatUtxoArena::chain_link(ScriptRec& rec, std::uint32_t idx) {
     entries_[prev].next = idx;
   }
   if (cur != kNil) entries_[cur].prev = idx;
-  ++rec.count;
 }
 
 void FlatUtxoArena::chain_unlink(ScriptRec& rec, std::uint32_t idx) {
@@ -189,12 +189,12 @@ void FlatUtxoArena::chain_unlink(ScriptRec& rec, std::uint32_t idx) {
     entries_[e.prev].next = e.next;
   }
   if (e.next != kNil) entries_[e.next].prev = e.prev;
-  --rec.count;
 }
 
-bool FlatUtxoArena::insert(const bitcoin::OutPoint& outpoint, bitcoin::Amount value,
-                           int height, util::ByteSpan script) {
-  if (slot_index(outpoint) != kNil) return false;  // duplicate; keep first
+std::uint32_t FlatUtxoArena::add_entry(const bitcoin::OutPoint& outpoint,
+                                       bitcoin::Amount value, int height,
+                                       util::ByteSpan script) {
+  if (slot_index(outpoint) != kNil) return kNil;  // duplicate; keep first
   maybe_grow_outpoint_table();
   maybe_grow_script_table();
 
@@ -236,11 +236,52 @@ bool FlatUtxoArena::insert(const bitcoin::OutPoint& outpoint, bitcoin::Amount va
   e.height = height;
   e.script_id = rec_idx;
   e.live = 1;
+  e.next = kNil;
+  e.prev = kNil;
 
-  chain_link(script_recs_[rec_idx], idx);
+  ++script_recs_[rec_idx].count;
   insert_outpoint_slot(outpoint, idx);
   ++live_entries_;
+  return idx;
+}
+
+bool FlatUtxoArena::insert(const bitcoin::OutPoint& outpoint, bitcoin::Amount value,
+                           int height, util::ByteSpan script) {
+  std::uint32_t idx = add_entry(outpoint, value, height, script);
+  if (idx == kNil) return false;
+  chain_link(script_recs_[entries_[idx].script_id], idx);
   return true;
+}
+
+bool FlatUtxoArena::load(const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
+                         util::ByteSpan script) {
+  std::uint32_t idx = add_entry(outpoint, value, height, script);
+  if (idx == kNil) return false;
+  unlinked_.push_back(idx);
+  return true;
+}
+
+void FlatUtxoArena::finish_load() {
+  // One sort groups the loaded entries by script, each group in canonical
+  // order; each group then merges into its chain in a single forward walk.
+  std::sort(unlinked_.begin(), unlinked_.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const Entry& x = entries_[a];
+    const Entry& y = entries_[b];
+    if (x.script_id != y.script_id) return x.script_id < y.script_id;
+    return chain_before(x, y);
+  });
+  std::uint32_t script = kNil;
+  std::uint32_t after = kNil;
+  for (std::uint32_t idx : unlinked_) {
+    if (entries_[idx].script_id != script) {
+      script = entries_[idx].script_id;
+      after = kNil;
+    }
+    chain_link(script_recs_[script], idx, after);
+    after = idx;
+  }
+  unlinked_ = {};
+  compact();
 }
 
 std::optional<FlatUtxoArena::Erased> FlatUtxoArena::erase(const bitcoin::OutPoint& outpoint) {
@@ -252,7 +293,7 @@ std::optional<FlatUtxoArena::Erased> FlatUtxoArena::erase(const bitcoin::OutPoin
 
   Erased erased{e.value, e.height, rec.length};
   chain_unlink(rec, idx);
-  if (rec.head == kNil) {
+  if (--rec.count == 0) {
     // Last UTXO of the script: retire the record (its arena bytes stay until
     // compaction) and tombstone its slot.
     const std::size_t mask = script_slots_.size() - 1;
@@ -358,7 +399,7 @@ void FlatUtxoArena::compact() {
   new_bytes.reserve(script_bytes_.size() - dead_script_bytes_);
   for (std::uint32_t idx = 0; idx < script_recs_.size(); ++idx) {
     const ScriptRec& rec = script_recs_[idx];
-    if (rec.head == kNil) continue;
+    if (rec.count == 0) continue;
     rec_map[idx] = static_cast<std::uint32_t>(new_recs.size());
     ScriptRec moved = rec;
     moved.offset = new_bytes.size();
@@ -380,7 +421,9 @@ void FlatUtxoArena::compact() {
     if (e.next != kNil) e.next = entry_map[e.next];
     if (e.prev != kNil) e.prev = entry_map[e.prev];
   }
-  for (ScriptRec& rec : new_recs) rec.head = entry_map[rec.head];
+  for (ScriptRec& rec : new_recs) {
+    if (rec.head != kNil) rec.head = entry_map[rec.head];
+  }
 
   entries_ = std::move(new_entries);
   script_recs_ = std::move(new_recs);

@@ -1,11 +1,11 @@
-// Flat open-addressing UTXO arena: the compact backing store for one stable
-// UTXO shard (the stable-memory layout the production canister keeps in
+// Flat open-addressing UTXO arena: the compact backing store for the stable
+// UTXO set (the stable-memory layout the production canister keeps in
 // `StableBTreeMap`s, flattened the way pastel's `uint256.h`-era flat sets
 // store fixed-width 32-byte keys).
 //
 // Layout: live UTXOs are fixed-width 64-byte POD entries in one contiguous
 // vector; scriptPubKey bytes live in an append-only byte arena and are
-// interned per shard (every UTXO paying the same script shares one copy).
+// interned (every UTXO paying the same script shares one copy).
 // Two power-of-two open-addressing tables (linear probing, tombstones) index
 // the entries: outpoint → entry and script bytes → script record. Entries
 // of one script form a doubly-linked chain threaded through the entry
@@ -16,7 +16,7 @@
 // TxOut byte vectors + a std::map per script), the arena cuts host bytes
 // per UTXO by ~3-5x and makes residency *accountable*: live_bytes() is the
 // exact byte cost of the live entries, resident_bytes() the exact capacity
-// the backend holds, so the `utxo.shard.*` gauges report real numbers
+// the backend holds, so the `utxo.*_bytes` gauges report real numbers
 // instead of node-overhead estimates.
 //
 // Tombstone compaction: erases mark slots/entries dead; when dead entries
@@ -70,6 +70,18 @@ class FlatUtxoArena {
   bool insert(const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
               util::ByteSpan script);
 
+  /// Bulk-load path: insert() without linking the entry into its script's
+  /// chain. finish_load() then sorts each script's loaded entries into
+  /// canonical order and merges them into the chain in one pass, so a bulk
+  /// load costs O(n log n) whatever order the entries arrive in (insert()
+  /// walks the chain from its head, quadratic for a checkpoint restore's
+  /// outpoint order). Only further load() calls may come before
+  /// finish_load().
+  bool load(const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
+            util::ByteSpan script);
+  /// Links every loaded entry, then compacts so the arena ends memory-tight.
+  void finish_load();
+
   /// Removes a UTXO, returning what was erased (script_len lets the caller
   /// maintain its modelled-footprint accounting); nullopt if absent.
   std::optional<Erased> erase(const bitcoin::OutPoint& outpoint);
@@ -120,8 +132,8 @@ class FlatUtxoArena {
   struct ScriptRec {
     std::uint64_t offset = 0;  // into script_bytes_
     std::uint32_t length = 0;
-    std::uint32_t head = kNil;   // first chain entry; kNil when dead
-    std::uint32_t count = 0;     // live entries on the chain
+    std::uint32_t head = kNil;   // first chain entry
+    std::uint32_t count = 0;     // live entries of the script; 0 when dead
     std::uint32_t next_free = kNil;
   };
 
@@ -150,13 +162,19 @@ class FlatUtxoArena {
   void rehash_script_table(std::size_t capacity);
   void maybe_compact();
 
-  /// Links `idx` into its script's chain at the canonical position.
-  void chain_link(ScriptRec& rec, std::uint32_t idx);
+  /// Interns the script and stores the entry, unlinked; kNil on duplicate.
+  std::uint32_t add_entry(const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
+                          util::ByteSpan script);
+  /// Links `idx` into its script's chain at the canonical position, walking
+  /// from `after` (kNil = the head). Entries linked in canonical order can
+  /// pass the previous one as `after`.
+  void chain_link(ScriptRec& rec, std::uint32_t idx, std::uint32_t after = kNil);
   void chain_unlink(ScriptRec& rec, std::uint32_t idx);
   /// True if entry a precedes entry b in canonical order.
   bool chain_before(const Entry& a, const Entry& b) const;
 
   std::vector<Entry> entries_;
+  std::vector<std::uint32_t> unlinked_;  // load()ed entries awaiting finish_load()
   std::uint32_t free_entries_ = kNil;  // LIFO free list through Entry::next
   std::size_t live_entries_ = 0;
   std::size_t dead_entries_ = 0;

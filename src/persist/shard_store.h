@@ -1,11 +1,11 @@
-// Backend interface for one stable-UTXO shard, plus its two
+// Backend interface for the stable UTXO store, plus its two
 // implementations: the node-map layout the store launched with (kept as the
 // differential oracle and the bench baseline) and the flat arena that
 // replaces it on the production path.
 //
-// The contract every backend must honour — it is what makes backends,
-// shard counts, and snapshot buffers interchangeable without disturbing a
-// single response byte or metered instruction:
+// The contract every backend must honour — it is what makes backends
+// interchangeable without disturbing a single response byte or metered
+// instruction:
 //   * insert() is first-write-wins per outpoint (pre-BIP30 duplicates).
 //   * for_each_of_script() yields canonical get_utxos order:
 //     height descending, then outpoint ascending.
@@ -14,7 +14,8 @@
 //     digest / checkpoint serialization).
 //   * live_bytes()/resident_bytes() are exact accounting, not estimates:
 //     live = bytes attributable to live entries, resident = host capacity
-//     actually held. These feed the `utxo.shard.*` gauges.
+//     actually held. These feed the `utxo.live_bytes` /
+//     `utxo.resident_bytes` gauges.
 #pragma once
 
 #include <map>
@@ -30,7 +31,7 @@
 
 namespace icbtc::persist {
 
-/// Which backend a UtxoIndex shard allocates.
+/// Which backend a UtxoIndex allocates.
 enum class UtxoBackend {
   kArena,  // FlatUtxoArena: flat POD entries + interned script bytes
   kMap,    // node-based maps (the pre-arena layout; differential oracle)
@@ -60,11 +61,16 @@ class ShardStore {
   virtual std::size_t distinct_scripts() const = 0;
   virtual std::uint64_t live_bytes() const = 0;
   virtual std::uint64_t resident_bytes() const = 0;
-  /// Releases slack capacity where the backend supports it (the arena's
-  /// entry vector doubles during bulk loads; a checkpoint restore ends with
-  /// an explicit compact so restored canisters start memory-tight). No-op
-  /// for backends without reclaimable slack. Never changes live state.
-  virtual void compact() {}
+  /// Bulk-restore path: insert() semantics (first write wins), but a
+  /// backend may defer ordering work to finish_load(). Between the first
+  /// load() and finish_load() only further load() calls are allowed.
+  virtual bool load(const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
+                    util::ByteSpan script) {
+    return insert(outpoint, value, height, script);
+  }
+  /// Seals a load() sequence and releases slack capacity, so a restored
+  /// store starts memory-tight. Never changes live state.
+  virtual void finish_load() {}
 };
 
 std::unique_ptr<ShardStore> make_shard_store(UtxoBackend backend);
@@ -99,7 +105,11 @@ class ArenaShardStore final : public ShardStore {
   std::size_t distinct_scripts() const override { return arena_.distinct_scripts(); }
   std::uint64_t live_bytes() const override { return arena_.live_bytes(); }
   std::uint64_t resident_bytes() const override { return arena_.resident_bytes(); }
-  void compact() override { arena_.compact(); }
+  bool load(const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
+            util::ByteSpan script) override {
+    return arena_.load(outpoint, value, height, script);
+  }
+  void finish_load() override { arena_.finish_load(); }
 
   const FlatUtxoArena& arena() const { return arena_; }
   FlatUtxoArena& arena() { return arena_; }

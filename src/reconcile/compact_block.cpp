@@ -1,5 +1,6 @@
 #include "reconcile/compact_block.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
@@ -9,6 +10,8 @@ namespace icbtc::reconcile {
 namespace {
 
 constexpr std::size_t kMinSketchCells = 8;
+/// Wire size of one 48-bit short id: caps the reserve for an untrusted count.
+constexpr std::size_t kShortIdBytes = 6;
 
 /// Folds the 64-bit block salt into the 32-bit Iblt placement salt.
 std::uint32_t sketch_salt(std::uint64_t salt) {
@@ -184,7 +187,7 @@ CompactBlock CompactBlock::deserialize(util::ByteReader& r) {
   cb.salt = r.u64le();
   cb.coinbase = bitcoin::Transaction::deserialize(r);
   std::size_t n = r.checked_len(r.varint());
-  cb.short_ids.reserve(n);
+  cb.short_ids.reserve(std::min(n, r.remaining() / kShortIdBytes));
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t lo = r.u32le();
     std::uint64_t hi = r.u16le();
@@ -198,7 +201,8 @@ std::size_t CompactBlock::wire_size() const {
   util::ByteWriter w;
   w.varint(short_ids.size());
   // 80-byte header + salt + coinbase + id list + sketch.
-  return 80 + 8 + coinbase.size() + w.size() + 6 * short_ids.size() + sketch.serialized_size();
+  return 80 + 8 + coinbase.size() + w.size() + kShortIdBytes * short_ids.size() +
+         sketch.serialized_size();
 }
 
 }  // namespace icbtc::reconcile

@@ -266,6 +266,65 @@ TEST_F(CanisterTest, GetUtxosWithConfirmationsReportsOlderTip) {
   EXPECT_EQ(outcome.value.utxos.size(), 3u);
 }
 
+TEST_F(CanisterTest, ConsideredTipMatchesBruteForceScanAcrossForks) {
+  // The considered tip skips chain blocks too shallow to be c-stable; it
+  // must still pick exactly what a scan of every chain block from the tip
+  // down picks, at every c in 0..δ, with forks of several depths around.
+  CanisterConfig config = CanisterConfig::for_params(params_);
+  config.stability_delta = 16;
+  BitcoinCanister canister(params_, config);
+  auto feed_to = [&](const std::vector<Block>& blocks) {
+    adapter::AdapterResponse response;
+    for (const auto& b : blocks) response.blocks.emplace_back(b, b.header);
+    canister.process_response(response, now_s());
+  };
+  auto brute_force = [&](int c) -> std::pair<Hash256, int> {
+    const chain::HeaderTree& tree = canister.header_tree();
+    std::vector<Hash256> chain = tree.current_chain();
+    if (c <= 0) return {chain.back(), tree.find(chain.back())->height};
+    for (std::size_t i = chain.size(); i-- > 0;) {
+      if (tree.is_confirmation_stable(chain[i], c)) return {chain[i], tree.find(chain[i])->height};
+    }
+    return {tree.root_hash(), tree.root().height};
+  };
+  auto check_all = [&](const char* stage) {
+    for (int c = 0; c <= config.stability_delta; ++c) {
+      GetUtxosRequest request;
+      request.address = address(1);
+      request.min_confirmations = c;
+      auto outcome = canister.get_utxos(request);
+      ASSERT_TRUE(outcome.ok()) << stage << " c=" << c;
+      auto [hash, height] = brute_force(c);
+      EXPECT_EQ(outcome.value.tip_hash, hash) << stage << " c=" << c;
+      EXPECT_EQ(outcome.value.tip_height, height) << stage << " c=" << c;
+    }
+  };
+  /// A fork of `length` blocks off the main chain block at `height`.
+  auto fork_off = [&](const std::vector<Block>& main, int height, int length) {
+    std::vector<Block> fork;
+    Hash256 parent = main[static_cast<std::size_t>(height - 1)].hash();
+    for (int i = 0; i < length; ++i) {
+      fork.push_back(make_block(parent, 2));
+      parent = fork.back().hash();
+    }
+    return fork;
+  };
+
+  std::vector<Block> main = extend(30, 1);
+  feed_to(main);
+  check_all("main chain");
+  ASSERT_GT(canister.anchor_height(), 0);
+  feed_to(fork_off(main, 29, 1));  // competes with the tip
+  check_all("1-block fork");
+  feed_to(fork_off(main, 25, 3));  // competes at heights 26..28
+  check_all("3-block fork");
+  feed_to(fork_off(main, 20, 6));  // competes at heights 21..26
+  check_all("6-block fork");
+  feed_to(fork_off(main, 27, 4));  // overtakes the main chain (tip 31)
+  check_all("overtaking fork");
+  EXPECT_EQ(canister.tip_height(), 31);
+}
+
 TEST_F(CanisterTest, Pagination) {
   CanisterConfig config = CanisterConfig::for_params(params_);
   config.utxos_per_page = 2;

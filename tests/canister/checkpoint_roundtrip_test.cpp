@@ -1,9 +1,9 @@
 // Checkpoint/restore at the canister level: the randomized reorg-heavy
-// round-trip property (restore at a different shard count AND a different
-// backend must reproduce the writer's digest, query responses, and meter
-// total, then stay in lockstep), checkpoint canonicality across writer
-// configurations, canister-level corruption KATs, and the pinning tests for
-// the arena-accurate `utxo.shard.*` / `canister.delta.*` gauges.
+// round-trip property (restore on the other backend must reproduce the
+// writer's digest, query responses, and meter total, then stay in
+// lockstep), checkpoint canonicality across writer configurations,
+// canister-level corruption KATs, and the pinning tests for the
+// arena-accurate `utxo.*_bytes` / `canister.delta.*` gauges.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -160,7 +160,6 @@ class CheckpointRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(CheckpointRoundTrip, RestoreMatchesNeverStoppedTwin) {
   ForkChain chain(GetParam());
   CanisterConfig writer_config = CanisterConfig::for_params(chain.params);
-  writer_config.utxo_shards = 8;
   BitcoinCanister writer(chain.params, writer_config);
   chain.run(writer, 40);
 
@@ -173,11 +172,10 @@ TEST_P(CheckpointRoundTrip, RestoreMatchesNeverStoppedTwin) {
 
   util::Bytes checkpoint = writer.write_checkpoint();
 
-  // Restore at a different shard count AND the map backend: the checkpoint
-  // is invariant to both, so the restored canister must be observationally
-  // identical to the writer that never stopped.
+  // Restore on the map backend: the checkpoint is backend-invariant, so the
+  // restored canister must be observationally identical to the writer that
+  // never stopped.
   CanisterConfig restore_config = writer_config;
-  restore_config.utxo_shards = 3;
   restore_config.utxo_backend = persist::UtxoBackend::kMap;
   auto restored = BitcoinCanister::from_checkpoint(chain.params, restore_config, checkpoint);
   expect_same_views(chain, writer, restored);
@@ -192,19 +190,16 @@ TEST_P(CheckpointRoundTrip, RestoreMatchesNeverStoppedTwin) {
   expect_same_views(chain, writer, restored);
 
   // Second generation: the restored canister's own checkpoint is
-  // byte-identical to the writer's despite the different shard count and
-  // backend — the stream is a pure function of logical state.
+  // byte-identical to the writer's despite the different backend — the
+  // stream is a pure function of logical state.
   EXPECT_EQ(writer.write_checkpoint(), restored.write_checkpoint());
 }
 
 TEST_P(CheckpointRoundTrip, CheckpointBytesInvariantAcrossWriterConfig) {
   ForkChain chain(GetParam());
   CanisterConfig a_config = CanisterConfig::for_params(chain.params);
-  a_config.utxo_shards = 16;
   CanisterConfig b_config = CanisterConfig::for_params(chain.params);
-  b_config.utxo_shards = 1;
   b_config.utxo_backend = persist::UtxoBackend::kMap;
-  b_config.utxo_snapshot_reads = false;
   BitcoinCanister a(chain.params, a_config);
   BitcoinCanister b(chain.params, b_config);
   for (int i = 0; i < 25; ++i) {
@@ -283,7 +278,7 @@ TEST(CheckpointCorruption, FileRoundTripAndMissingFile) {
   std::string path = ::testing::TempDir() + "canister_roundtrip.ckpt";
   writer.checkpoint(path);
   CanisterConfig restore_config = CanisterConfig::for_params(chain.params);
-  restore_config.utxo_shards = 2;
+  restore_config.utxo_backend = persist::UtxoBackend::kMap;
   auto restored = BitcoinCanister::restore(chain.params, restore_config, path);
   EXPECT_EQ(restored.utxo_digest(), writer.utxo_digest());
 
@@ -308,9 +303,7 @@ TEST(CheckpointCorruption, FileRoundTripAndMissingFile) {
 
 TEST(CheckpointGauges, ShardByteGaugesMatchExactAccounting) {
   ForkChain chain(13);
-  CanisterConfig config = CanisterConfig::for_params(chain.params);
-  config.utxo_shards = 4;
-  BitcoinCanister canister(chain.params, config);
+  BitcoinCanister canister(chain.params, CanisterConfig::for_params(chain.params));
   obs::MetricsRegistry registry;
   canister.set_metrics(&registry);
   chain.run(canister, 20);
@@ -320,9 +313,9 @@ TEST(CheckpointGauges, ShardByteGaugesMatchExactAccounting) {
   std::uint64_t resident = canister.stable_utxos().resident_bytes();
   EXPECT_GT(live, 0u);
   EXPECT_GE(resident, live);
-  EXPECT_EQ(registry.gauge("utxo.shard.live_bytes").value(),
+  EXPECT_EQ(registry.gauge("utxo.live_bytes").value(),
             static_cast<std::int64_t>(live));
-  EXPECT_EQ(registry.gauge("utxo.shard.resident_bytes").value(),
+  EXPECT_EQ(registry.gauge("utxo.resident_bytes").value(),
             static_cast<std::int64_t>(resident));
 }
 

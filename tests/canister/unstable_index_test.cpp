@@ -218,36 +218,36 @@ TEST_F(DeltaMemoTest, AnchorAdvanceShrinksIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: indexed and sharded-snapshot canisters vs. the serial scan
+// Differential: indexed canisters on both stable backends vs. the scan
 // oracle across randomized reorg workloads
 
 class DifferentialHarness {
  public:
   explicit DifferentialHarness(std::uint64_t seed)
       : rng_(seed),
-        scan_(params_, config(UnstableQueryMode::kScan, 1, false)),
+        scan_(params_, config(UnstableQueryMode::kScan, persist::UtxoBackend::kArena)),
         build_tree_(params_, params_.genesis_header) {
-    // Candidates vs. the serial scan oracle: the indexed read path on the
-    // unsharded store, then sharded stores with epoch snapshot reads — every
-    // response, per-call meter segment, and cumulative total must match the
-    // oracle bit-for-bit at every shard count.
+    // Candidates vs. the scan oracle: the indexed read path on the arena
+    // store, then on the map store — every response, per-call meter segment,
+    // and cumulative total must match the oracle bit-for-bit on both.
     candidates_.push_back(std::make_unique<BitcoinCanister>(
-        params_, config(UnstableQueryMode::kIndexed, 1, false)));
+        params_, config(UnstableQueryMode::kIndexed, persist::UtxoBackend::kArena)));
     candidates_.push_back(std::make_unique<BitcoinCanister>(
-        params_, config(UnstableQueryMode::kIndexed, 4, true)));
-    candidates_.push_back(std::make_unique<BitcoinCanister>(
-        params_, config(UnstableQueryMode::kIndexed, 16, true)));
+        params_, config(UnstableQueryMode::kIndexed, persist::UtxoBackend::kMap)));
     heights_[params_.genesis_header.hash()] = 0;
     by_height_.push_back({params_.genesis_header.hash()});
   }
 
-  static CanisterConfig config(UnstableQueryMode mode, std::size_t shards, bool snapshots) {
+  static CanisterConfig config(UnstableQueryMode mode, persist::UtxoBackend backend) {
     auto c = CanisterConfig::for_params(ChainParams::regtest());
     c.unstable_query_mode = mode;
     c.utxos_per_page = 7;  // force pagination
-    c.utxo_shards = shards;
-    c.utxo_snapshot_reads = snapshots;
+    c.utxo_backend = backend;
     return c;
+  }
+
+  static const char* backend_name(const BitcoinCanister& canister) {
+    return persist::to_string(canister.config().utxo_backend);
   }
 
   util::Bytes script(std::uint8_t tag) {
@@ -287,7 +287,7 @@ class DifferentialHarness {
       ASSERT_EQ(scan_.tip_height(), other.tip_height());
       ASSERT_EQ(scan_.unstable_block_count(), other.unstable_block_count());
       ASSERT_EQ(scan_.utxo_digest(), other.utxo_digest())
-          << "digest diverged at " << other.config().utxo_shards << " shards";
+          << "digest diverged on " << backend_name(other);
     }
 
     for (std::uint8_t tag = 1; tag <= kTags; ++tag) {
@@ -300,8 +300,7 @@ class DifferentialHarness {
     compare_fee_percentiles();
     for (auto& candidate : candidates_) {
       ASSERT_EQ(scan_.meter().count(), candidate->meter().count())
-          << "cumulative metered instructions diverged at "
-          << candidate->config().utxo_shards << " shards";
+          << "cumulative metered instructions diverged on " << backend_name(*candidate);
     }
   }
 
@@ -316,7 +315,7 @@ class DifferentialHarness {
       ASSERT_EQ(a.status, b.status);
       ASSERT_EQ(a.value, b.value);
       ASSERT_EQ(scan_cost, candidate_cost)
-          << "get_balance metering diverged at " << candidate->config().utxo_shards << " shards";
+          << "get_balance metering diverged on " << backend_name(*candidate);
     }
   }
 
@@ -337,15 +336,15 @@ class DifferentialHarness {
         std::uint64_t candidate_cost = i.sample();
         ASSERT_EQ(a.status, b.status);
         ASSERT_EQ(scan_cost, candidate_cost)
-            << "get_utxos metering diverged at " << other.config().utxo_shards << " shards";
+            << "get_utxos metering diverged on " << backend_name(other);
         if (!a.ok()) continue;
         ASSERT_EQ(a.value.utxos, b.value.utxos);
         ASSERT_EQ(a.value.tip_hash, b.value.tip_hash);
         ASSERT_EQ(a.value.tip_height, b.value.tip_height);
-        // Page tokens byte-identical: offsets into the sharded merged view
-        // line up with the serial one.
+        // Page tokens byte-identical: offsets into the indexed merged view
+        // line up with the scan one.
         ASSERT_EQ(a.value.next_page, b.value.next_page)
-            << "page token diverged at " << other.config().utxo_shards << " shards";
+            << "page token diverged on " << backend_name(other);
         if (b.value.next_page) requests[c + 1].page = b.value.next_page;
       }
       if (!a.ok() || !a.value.next_page) return;

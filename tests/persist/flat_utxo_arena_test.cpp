@@ -1,7 +1,7 @@
-// FlatUtxoArena: the compact per-shard UTXO backing store. Covers the
+// FlatUtxoArena: the compact UTXO backing store. Covers the
 // open-addressing tables, script interning, canonical chain order,
-// tombstone compaction, exact byte accounting, and a randomized
-// differential check against the node-map oracle backend.
+// tombstone compaction, exact byte accounting, the bulk-load path, and a
+// randomized differential check against the node-map oracle backend.
 #include "persist/flat_utxo_arena.h"
 
 #include <gtest/gtest.h>
@@ -261,6 +261,105 @@ TEST(FlatUtxoArenaTest, ArenaBeatsMapResidencyAtScale) {
   }
   EXPECT_GE(static_cast<double>(map.resident_bytes()),
             2.0 * static_cast<double>(arena.resident_bytes()));
+}
+
+/// Every read the arena offers, in its own order: per-script chains for the
+/// given scripts, then the full visit() sequence.
+struct ArenaView {
+  std::vector<std::vector<std::pair<bitcoin::OutPoint, int>>> chains;
+  std::vector<bitcoin::OutPoint> visit_order;
+  std::size_t size = 0;
+  std::size_t scripts = 0;
+  std::uint64_t live_bytes = 0;
+
+  bool operator==(const ArenaView&) const = default;
+};
+
+ArenaView view_of(const FlatUtxoArena& arena, const std::vector<util::Bytes>& scripts) {
+  ArenaView v;
+  for (const auto& s : scripts) {
+    auto& chain = v.chains.emplace_back();
+    auto fn = [&](const bitcoin::OutPoint& o, bitcoin::Amount, int h) { chain.emplace_back(o, h); };
+    arena.for_each_of_script(s, FlatUtxoArena::UtxoVisitor(fn));
+    EXPECT_EQ(arena.script_utxo_count(s), chain.size());
+  }
+  auto fn = [&](const bitcoin::OutPoint& o, bitcoin::Amount, int, util::ByteSpan) {
+    v.visit_order.push_back(o);
+  };
+  arena.visit(FlatUtxoArena::EntryVisitor(fn));
+  v.size = arena.size();
+  v.scripts = arena.distinct_scripts();
+  v.live_bytes = arena.live_bytes();
+  return v;
+}
+
+TEST(FlatUtxoArenaTest, BulkLoadInOutpointOrderMatchesIncrementalInsert) {
+  // A checkpoint restore loads entries in outpoint order, which is unrelated
+  // to the canonical chain order (height desc, outpoint asc). The bulk path
+  // must reach exactly the arena the incremental path builds — and stay
+  // identical under further identical mutations.
+  util::Rng rng(5);
+  struct Row {
+    bitcoin::OutPoint outpoint;
+    int height;
+    util::Bytes script;
+  };
+  std::vector<Row> rows;
+  for (int i = 0; i < 4000; ++i) {
+    rows.push_back(Row{bitcoin::OutPoint{rng.next_hash(), static_cast<std::uint32_t>(i % 3)},
+                       static_cast<int>(rng.next_below(50)),
+                       script(static_cast<std::uint8_t>(rng.next_below(6)))});
+  }
+  rows.push_back(rows[17]);  // a duplicate outpoint: first write wins on both paths
+  rows.back().height = 99;
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return a.outpoint < b.outpoint; });
+  std::vector<util::Bytes> scripts;
+  for (std::uint8_t tag = 0; tag < 6; ++tag) scripts.push_back(script(tag));
+
+  FlatUtxoArena inserted;
+  FlatUtxoArena loaded;
+  for (const Row& r : rows) {
+    bool a = inserted.insert(r.outpoint, 1000, r.height, r.script);
+    bool b = loaded.load(r.outpoint, 1000, r.height, r.script);
+    EXPECT_EQ(a, b);
+  }
+  loaded.finish_load();
+  ASSERT_EQ(view_of(loaded, scripts), view_of(inserted, scripts));
+  EXPECT_GE(loaded.resident_bytes(), loaded.live_bytes());
+
+  for (std::size_t i = 0; i < rows.size(); i += 3) {
+    EXPECT_EQ(inserted.erase(rows[i].outpoint).has_value(),
+              loaded.erase(rows[i].outpoint).has_value());
+  }
+  for (int i = 0; i < 200; ++i) {
+    bitcoin::OutPoint o{rng.next_hash(), 0};
+    int h = static_cast<int>(rng.next_below(60));
+    const util::Bytes& s = scripts[rng.next_below(scripts.size())];
+    EXPECT_EQ(inserted.insert(o, 7, h, s), loaded.insert(o, 7, h, s));
+  }
+  EXPECT_EQ(view_of(loaded, scripts), view_of(inserted, scripts));
+}
+
+TEST(FlatUtxoArenaTest, BulkLoadMergesIntoExistingChains) {
+  // Loads after inserts merge into the chains the inserts built.
+  util::Rng rng(6);
+  std::vector<util::Bytes> scripts = {script(1), script(2)};
+  FlatUtxoArena inserted;
+  FlatUtxoArena mixed;
+  for (int i = 0; i < 600; ++i) {
+    bitcoin::OutPoint o{rng.next_hash(), 0};
+    int h = static_cast<int>(rng.next_below(20));
+    const util::Bytes& s = scripts[i % 2];
+    inserted.insert(o, 1, h, s);
+    if (i < 300) {
+      mixed.insert(o, 1, h, s);
+    } else {
+      mixed.load(o, 1, h, s);
+    }
+  }
+  mixed.finish_load();
+  EXPECT_EQ(view_of(mixed, scripts), view_of(inserted, scripts));
 }
 
 }  // namespace
